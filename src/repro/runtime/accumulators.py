@@ -1,12 +1,13 @@
-"""Streaming (online) statistics for million-request serving runs.
+"""Online statistics behind every :class:`~repro.runtime.serving.ServingReport`
+aggregate.
 
-The default :class:`~repro.runtime.serving.ServingReport` keeps one
-:class:`~repro.runtime.serving.RequestRecord` per request and computes every
-aggregate by scanning the record list.  That is the right trade at golden-trace
-scale (tens of requests, full timelines pinned bit-exactly) and the wrong one
-at benchmark scale: a million records with per-event timelines cost gigabytes
-and O(n log n) percentile sorts.  This module provides the streaming
-counterpart the engine accumulates into when ``stream_stats`` is enabled:
+The serving engine feeds one terminal request at a time into a
+:class:`ServingStats` (in completion order), and every report number — counts,
+SLO attainment, latency mean and percentiles, queueing delay, backbone bytes,
+the makespan window — reads these accumulators.  Per-request
+:class:`~repro.runtime.serving.RequestRecord` objects are an optional sink
+filled at the same retirement point; ``stream_stats`` only decides whether
+they (and their timelines) are kept.
 
 :class:`OnlineStats`
     Exact running count / sum / min / max / mean (one float add per sample —
@@ -15,16 +16,18 @@ counterpart the engine accumulates into when ``stream_stats`` is enabled:
 
 :class:`StreamingPercentiles`
     Percentile estimator that is *exact below a threshold* (it keeps the raw
-    sample list, so small runs — including every golden workload — report
-    bit-identical percentiles to the record-scanning path) and degrades to a
-    seeded reservoir sample beyond it (Vitter's Algorithm R with a fixed
-    ``random.Random`` seed, so large runs stay deterministic too).
+    sample list and sorts it on demand) and degrades to a seeded reservoir
+    sample beyond it (Vitter's Algorithm R with a fixed ``random.Random``
+    seed, so large runs stay deterministic too).  While records are kept the
+    engine lifts the threshold to infinity — it already holds O(N) records,
+    so the exact sample costs little — and under ``stream_stats`` it is
+    :data:`DEFAULT_EXACT_THRESHOLD`.
 
 :class:`ServingStats`
-    The full online mirror of a serving report's aggregates: terminal-status
-    counts, SLO attainment, latency mean/percentiles (overall, per priority
-    class, and over retried requests), queueing delay, backbone bytes and the
-    makespan window.
+    The full set of a serving report's aggregates: terminal-status counts,
+    SLO attainment, latency mean/percentiles (overall, per priority class,
+    per model, and over retried requests), queueing delay, backbone bytes
+    and the makespan window.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class StreamingPercentiles:
 
     def __init__(
         self,
-        exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+        exact_threshold: float = DEFAULT_EXACT_THRESHOLD,
         reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
         seed: int = 0,
     ) -> None:
@@ -147,11 +150,12 @@ class StreamingPercentiles:
 
 
 class ServingStats:
-    """Online mirror of a :class:`ServingReport`'s aggregates.
+    """The aggregates of a :class:`ServingReport`, accumulated online.
 
     Fed one terminal request at a time by the serving engine (in completion
-    order); the report's properties read these counters instead of scanning
-    records when the engine ran with ``stream_stats``.
+    order); every aggregate property of the report reads these counters.
+    ``exact_threshold`` applies to every percentile estimator (overall,
+    retried, per class and per model); ``math.inf`` keeps them all exact.
     """
 
     __slots__ = (
@@ -168,12 +172,13 @@ class ServingStats:
         "percentiles",
         "retried_percentiles",
         "by_class",
+        "by_model",
         "arrival_min",
         "completion_max",
         "_exact_threshold",
     )
 
-    def __init__(self, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> None:
+    def __init__(self, exact_threshold: float = DEFAULT_EXACT_THRESHOLD) -> None:
         self.num_requests = 0
         self.num_completed = 0
         self.num_failed = 0
@@ -187,6 +192,7 @@ class ServingStats:
         self.percentiles = StreamingPercentiles(exact_threshold)
         self.retried_percentiles = StreamingPercentiles(exact_threshold)
         self.by_class: Dict[int, StreamingPercentiles] = {}
+        self.by_model: Dict[str, StreamingPercentiles] = {}
         self.arrival_min = math.inf
         self.completion_max = -math.inf
         self._exact_threshold = exact_threshold
@@ -201,6 +207,7 @@ class ServingStats:
         priority: int,
         ideal_latency_s: Optional[float],
         bytes_to_cloud: int,
+        model: str,
     ) -> None:
         """Account one terminal request (mirrors ``RequestRecord`` semantics)."""
         self.num_requests += 1
@@ -228,6 +235,12 @@ class ServingStats:
         estimator = self.by_class.get(priority)
         if estimator is None:
             estimator = self.by_class[priority] = StreamingPercentiles(
+                self._exact_threshold
+            )
+        estimator.add(latency)
+        estimator = self.by_model.get(model)
+        if estimator is None:
+            estimator = self.by_model[model] = StreamingPercentiles(
                 self._exact_threshold
             )
         estimator.add(latency)

@@ -18,6 +18,7 @@ from repro.runtime.accumulators import (
     ServingStats,
     StreamingPercentiles,
 )
+from repro.runtime.serving import ServingSimulator
 from repro.runtime.workload import Workload
 
 QUANTILES = (50.0, 95.0, 99.0)
@@ -153,6 +154,62 @@ class TestStreamingEngineDeterminism:
             assert stream.goodput_rps == full.goodput_rps, scheduler
             assert stream.slo_attainment == full.slo_attainment, scheduler
 
+    def test_every_aggregate_identical_on_mixed_edf_chaos_stream(self):
+        """Two models, SLOs, two priority classes, EDF shedding and chaos
+        faults: every aggregate — and the summary text — must not depend on
+        whether records are kept."""
+        workload = Workload.merge(
+            Workload.poisson(
+                "alexnet", num_requests=24, rate_rps=8.0, seed=1,
+                slo_ms=300.0, priorities=(0, 1),
+            ),
+            Workload.poisson(
+                "vgg16", num_requests=16, rate_rps=2.0, seed=2,
+                slo_ms=1500.0, priorities=(1, 0),
+            ),
+        )
+        topology = Topology.three_tier(num_edge_nodes=1, network="optical")
+        kwargs = dict(scheduler="edf", faults="chaos:3")
+        full = _system(topology=topology).serve(workload, **kwargs)
+        stream = _system(topology=topology).serve(workload, stream_stats=True, **kwargs)
+        # The stream exercises every terminal status and both breakdowns.
+        assert full.num_failed and full.num_rejected and full.num_retried
+        assert full.bytes_to_cloud > 0
+        assert len(full.class_percentiles()) == 2
+        assert len(full.model_percentiles()) == 2
+        assert stream.records == [] and len(full.records) == 40
+        for name in (
+            "num_requests", "num_completed", "num_failed", "num_rejected",
+            "num_retried", "num_met_slo", "availability", "throughput_rps",
+            "goodput_rps", "slo_attainment", "mean_latency_s", "bytes_to_cloud",
+            "makespan_s",
+        ):
+            assert getattr(stream, name) == getattr(full, name), name
+        assert stream.latency_percentiles() == full.latency_percentiles()
+        assert stream.latency_percentiles(retried_only=True) == full.latency_percentiles(
+            retried_only=True
+        )
+        assert stream.class_percentiles() == full.class_percentiles()
+        assert stream.model_percentiles() == full.model_percentiles()
+        assert stream.mean_queueing_delay_s() == full.mean_queueing_delay_s()
+        assert stream.summary() == full.summary()
+
+    def test_queueing_delay_identical_when_driving_the_simulator_directly(self):
+        """Ideal latencies ride on the planned requests, so a simulator fed
+        ``plan_requests`` output reports queueing delay in both modes."""
+        system = _system()
+        workload = Workload.poisson("alexnet", num_requests=30, rate_rps=20.0, seed=4)
+        requests = system.plan_requests(workload)
+        delays = []
+        for stream_stats in (False, True):
+            simulator = ServingSimulator(system.cluster, stream_stats=stream_stats)
+            records = simulator.run(requests)
+            delays.append(
+                simulator.build_report(workload.name, records).mean_queueing_delay_s()
+            )
+        assert delays[0] is not None
+        assert delays[0] == delays[1]
+
     def test_streaming_report_has_no_records(self):
         workload = Workload.constant_rate("alexnet", 10, interval_s=0.05)
         report = _system().serve(workload, stream_stats=True)
@@ -176,6 +233,7 @@ class TestServingStats:
             priority=0,
             bytes_to_cloud=0,
             ideal_latency_s=None,
+            model="alexnet",
         )
         assert stats.num_rejected == 1
         assert stats.latency.count == 0
@@ -192,6 +250,7 @@ class TestServingStats:
                 priority=0,
                 bytes_to_cloud=0,
                 ideal_latency_s=None,
+                model="alexnet",
             )
         assert stats.num_completed == 2
         assert stats.num_met_slo == 1
