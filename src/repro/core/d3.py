@@ -632,9 +632,6 @@ class D3System:
     ) -> List[ServingRequest]:
         """Price one request stream: one planned serving request per arrival."""
         requests: List[ServingRequest] = []
-        topology = self.cluster.topology
-        sample_topology = trace is None and topology.has_traced_links
-        primary_device = self.cluster.device.name
         no_faults: Tuple = (frozenset(), frozenset())
         previous_down = no_faults
         for request in workload:
@@ -659,60 +656,84 @@ class D3System:
                 planned = self._plan_degraded(
                     graph, strategy, down, request.source, request.arrival_s, trace
                 )
-            if planned is not None:
-                entry, condition = planned
-            else:
+            if planned is None:
                 # Healthy deployment — or a degraded one that cannot be
                 # planned at all (a whole tier down): fall back to the
                 # healthy plan and let the simulator fail what must fail.
-                link_mbps: Optional[Dict[str, float]] = None
-                forecast: Optional[NetworkCondition] = None
-                off_primary = request.source is not None and request.source != primary_device
-                if trace is not None:
-                    if self._calibration is not None:
-                        forecast = self._observe_trace(trace, request.arrival_s)
-                    condition = trace.condition_at(request.arrival_s)
-                    if topology.has_traced_links:
-                        # An explicit backbone trace does not switch the wires'
-                        # own traces off: keep watching (and ideal-pricing) every
-                        # traced link at this arrival's rates.
-                        link_mbps = topology.link_bandwidths_at(request.arrival_s)
-                elif sample_topology or off_primary:
-                    # Trace-driven links and/or a non-primary source device: plan
-                    # under the topology's view at this arrival, anchored at the
-                    # wires this request actually crosses, and watch every wire
-                    # for drift.
-                    at_s = request.arrival_s if sample_topology else 0.0
-                    condition = topology.planning_condition(at_s=at_s, source=request.source)
-                    if sample_topology:
-                        link_mbps = topology.link_bandwidths_at(at_s)
-                else:
-                    condition = self.network
-                entry = self._plan_for(
-                    graph,
-                    condition,
-                    strategy,
-                    link_bandwidths=link_mbps,
-                    source=request.source,
-                    forecast=forecast,
+                # Only arrivals feed the forecaster, never failover retries.
+                forecast = None
+                if trace is not None and self._calibration is not None:
+                    forecast = self._observe_trace(trace, request.arrival_s)
+                planned = self._plan_healthy(
+                    graph, strategy, request.source, request.arrival_s, trace, forecast
                 )
-            requests.append(
-                ServingRequest(
-                    index=request.index,
-                    request_id=request.request_id,
-                    graph=graph,
-                    plan=entry.placement,
-                    profile=entry.profile,
-                    condition=condition,
-                    arrival_s=request.arrival_s,
-                    vsm_plan=entry.vsm_plan,
-                    source=request.source,
-                    slo_ms=request.slo_ms,
-                    priority=request.priority,
-                    ideal_latency_s=entry.ideal_latency_s,
-                )
-            )
+            requests.append(self._serving_request(request, graph, planned))
         return requests
+
+    def _plan_healthy(
+        self,
+        graph: DnnGraph,
+        strategy: PartitionStrategy,
+        source: Optional[str],
+        at_s: float,
+        trace: Optional[BandwidthTrace],
+        forecast: Optional[NetworkCondition] = None,
+    ) -> Tuple[CachedPlan, NetworkCondition]:
+        """Plan ``graph`` against the healthy deployment at ``at_s``.
+
+        Arrivals and failover retries resolve their condition here alike.  An
+        explicit ``trace`` gives the backbone condition.  Otherwise trace-
+        driven links and/or a non-primary ``source`` device plan under the
+        topology's view at ``at_s``, anchored at the wires the request
+        actually crosses.  Every traced wire is sampled at ``at_s`` — even
+        under an explicit backbone trace — and watched for drift.
+        """
+        topology = self.cluster.topology
+        link_mbps: Optional[Dict[str, float]] = None
+        if topology.has_traced_links:
+            link_mbps = topology.link_bandwidths_at(at_s)
+        if trace is not None:
+            condition = trace.condition_at(at_s)
+        elif link_mbps is not None or (
+            source is not None and source != self.cluster.device.name
+        ):
+            condition = topology.planning_condition(at_s=at_s, source=source)
+        else:
+            condition = self.network
+        entry = self._plan_for(
+            graph,
+            condition,
+            strategy,
+            link_bandwidths=link_mbps,
+            source=source,
+            forecast=forecast,
+        )
+        return entry, condition
+
+    @staticmethod
+    def _serving_request(
+        request, graph: DnnGraph, planned: Tuple[CachedPlan, NetworkCondition]
+    ) -> ServingRequest:
+        """The simulator-ready form of ``request`` under a planned entry.
+
+        ``request`` is a workload arrival or the aborted serving request a
+        failover retries; both carry the identity, source and SLO fields.
+        """
+        entry, condition = planned
+        return ServingRequest(
+            index=request.index,
+            request_id=request.request_id,
+            graph=graph,
+            plan=entry.placement,
+            profile=entry.profile,
+            condition=condition,
+            arrival_s=request.arrival_s,
+            vsm_plan=entry.vsm_plan,
+            source=request.source,
+            slo_ms=request.slo_ms,
+            priority=request.priority,
+            ideal_latency_s=entry.ideal_latency_s,
+        )
 
     def _observe_trace(
         self, trace: BandwidthTrace, arrival_s: float
@@ -917,7 +938,9 @@ class D3System:
         moment of the failure* — through the plan cache, so repeated failovers
         onto the same degraded shape amortize — and returns the freshly
         planned request, or ``None`` when the degraded deployment cannot
-        serve it (the simulator then records the request as failed).
+        serve it (the simulator then records the request as failed).  With
+        nothing down, the retry resolves its condition exactly like an
+        arrival at that instant.
         """
 
         def replan(request: ServingRequest, now_s: float, down_nodes, down_links):
@@ -930,28 +953,13 @@ class D3System:
                 )
                 if planned is None:
                     return None
-                entry, condition = planned
             else:
-                # Everything recovered before the retry fired: the healthy
-                # plan is the right plan again.
-                condition = trace.condition_at(now_s) if trace is not None else self.network
-                entry = self._plan_for(
-                    request.graph, condition, strategy, source=request.source
+                # Everything recovered before the retry fired: plan exactly
+                # like an arrival at this instant would.
+                planned = self._plan_healthy(
+                    request.graph, strategy, request.source, now_s, trace
                 )
-            return ServingRequest(
-                index=request.index,
-                request_id=request.request_id,
-                graph=request.graph,
-                plan=entry.placement,
-                profile=entry.profile,
-                condition=condition,
-                arrival_s=request.arrival_s,
-                vsm_plan=entry.vsm_plan,
-                source=request.source,
-                slo_ms=request.slo_ms,
-                priority=request.priority,
-                ideal_latency_s=entry.ideal_latency_s,
-            )
+            return self._serving_request(request, request.graph, planned)
 
         return replan
 
@@ -964,36 +972,28 @@ class D3System:
     ) -> None:
         """Treat a recovery as drift: fail back from the degraded plan.
 
-        When a node or link returns, the stream that was planned against the
-        previous degraded shape observes the restored planning view through
-        its :class:`~repro.core.dynamic.DynamicRepartitioner`.  A triggered
-        adaptation fires the cache's invalidation listener, retiring the
-        stale degraded entry — subsequent requests hit the healthy (or
-        less-degraded) cached plan instead of a plan that still avoids a
-        node that is back.
+        Once a node or link returns, requests key on the restored
+        deployment's fingerprint, so they stop hitting the degraded entry
+        either way.  Fail-back retires that entry: the stream planned against
+        the previous degraded shape observes the restored planning view
+        through its :class:`~repro.core.dynamic.DynamicRepartitioner`, and a
+        triggered adaptation invalidates the stale degraded entry and
+        re-anchors the repartitioner at the restored view.
         """
-        try:
-            masked_prev, _ = self._degraded_deployment(previous_down)
-        except TopologyError:
-            return
-        entry = self.plan_cache.latest_for(
-            self._graph_token(graph),
-            strategy.name,
-            self.config.plan_key(),
-            masked_prev.fingerprint(),
-        )
-        if entry is None or entry.repartitioner is None:
-            return
         try:
             if down[0] or down[1]:
                 restored, _ = self._degraded_deployment(down)
             else:
                 restored = self.cluster.topology
             condition = restored.planning_condition()
+            stale = self._plan_key(graph, condition, strategy, previous_down)
         except TopologyError:
             return
-        entry.repartitioner.thresholds = self.plan_cache.thresholds
-        entry.repartitioner.observe(network=condition)
+        entry = self.plan_cache.latest_for(*stale.stream)
+        if entry is None or entry.repartitioner is None:
+            return
+        if entry.repartitioner.observe(network=condition).triggered and entry.valid:
+            self.plan_cache.invalidate(entry.key)
 
     # ------------------------------------------------------------------ #
     def graph_for(self, model: str) -> DnnGraph:
@@ -1084,9 +1084,106 @@ class D3System:
         """
         strategy = strategy or self._strategy_for()
         cache = self.plan_cache
-        plan_cluster: Optional[Cluster] = None
+        key = self._plan_key(graph, condition, strategy, deployment)
+        entry = cache.get(key, condition, link_bandwidths)
+        if entry is not None:
+            return entry
+
+        self._require_support(strategy, graph)
+        profile = self._profile_for(graph)
+        base = cache.latest_for(*key.stream)
+        if base is not None:
+            repartitioner = base.repartitioner
+        elif isinstance(strategy, HpaStrategy):
+            repartitioner = DynamicRepartitioner(
+                graph,
+                profile,
+                condition,
+                thresholds=cache.thresholds,
+                config=strategy.hpa_config,
+                economics=self._economics,
+                weights=self.config.objective_weights,
+            )
+        else:
+            # Every non-HPA-family method — including custom strategies that
+            # merely claim drift support — plans through its own plan(); the
+            # DynamicRepartitioner *is* HPA and would silently substitute an
+            # HPA placement under the strategy's name.
+            repartitioner = None
+        if repartitioner is not None and self._calibration is not None:
+            repartitioner.calibration = self._calibration
+
+        if base is not None:
+            in_band = cache.within_band(base, condition, link_bandwidths)
+            # Predictive trigger: the current sample is still in band, but
+            # the forecast says it won't be within the horizon — adapt now,
+            # so the corrected plan is already serving when the drift lands.
+            proactive = (
+                in_band
+                and forecast is not None
+                and repartitioner is not None
+                and repartitioner.forecast_breach(forecast)
+            )
+            if in_band and not proactive:
+                cache.record_alias(key, base)
+                return base
+            if repartitioner is not None:
+                # The paper's local re-partitioning adapts the plan.
+                event = repartitioner.observe(
+                    network=forecast if proactive else condition,
+                    link_bandwidths=link_bandwidths,
+                )
+                if not event.triggered:
+                    # The repartitioner judged the drift tolerable after all
+                    # (its per-vertex view can be coarser than the link-level
+                    # band); keep serving the cached plan rather than storing
+                    # a phantom "adaptation" that changed nothing.
+                    cache.record_alias(key, base)
+                    return base
+            # Without a repartitioner the method has no local re-partitioning
+            # and degrades gracefully: the store below re-plans from scratch
+            # under the drifted condition (the full re-solve DADS et al.
+            # would have to perform anyway).
+            if base.valid:
+                cache.invalidate(base.key)
+            if self._adaptation is not None:
+                if proactive:
+                    self._adaptation.record_proactive(
+                        self._adaptation_time,
+                        self._calibration.config.horizon_s,
+                        self._adaptation_sample,
+                    )
+                else:
+                    self._adaptation.record_reactive(self._adaptation_time)
+        return self._store_plan(
+            key,
+            graph,
+            profile,
+            condition,
+            strategy,
+            repartitioner,
+            repartitioned=base is not None,
+            link_bandwidths=link_bandwidths,
+            source=source,
+            deployment=deployment,
+        )
+
+    def _plan_key(
+        self,
+        graph: DnnGraph,
+        condition: NetworkCondition,
+        strategy: PartitionStrategy,
+        deployment: Optional[Tuple] = None,
+    ) -> PlanKey:
+        """The plan-cache key of ``graph`` under ``condition``.
+
+        ``deployment`` (a failure signature) keys on the masked topology's
+        fingerprint instead of the healthy one.  Raises
+        :class:`~repro.network.topology.TopologyError` when that degraded
+        shape cannot serve at all.
+        """
         if deployment is not None:
-            masked, plan_cluster = self._degraded_deployment(deployment)
+            masked, _ = self._degraded_deployment(deployment)
             topology_fp = masked.fingerprint()
         else:
             topology_fp = self.topology.fingerprint()
@@ -1096,202 +1193,60 @@ class D3System:
             # placements; key them separately so they never alias (the token
             # widens the tuple, so memory-free keys cannot collide with it).
             config_key = config_key + (("memory",) + self._memory.key(),)
-        key = PlanKey.build(
+        return PlanKey.build(
             self._graph_token(graph),
             condition,
             config_key,
             strategy.name,
             topology=topology_fp,
         )
-        entry = cache.get(key, condition, link_bandwidths)
-        if entry is not None:
-            return entry
-
-        self._require_support(strategy, graph)
-        profile = self._profile_for(graph)
-        base = cache.latest_for(key.model, key.strategy, key.config, key.topology)
-        if base is not None:
-            if cache.within_band(base, condition, link_bandwidths):
-                if (
-                    forecast is not None
-                    and base.repartitioner is not None
-                    and base.repartitioner.forecast_breach(forecast)
-                ):
-                    # Predictive trigger: the current sample is still in
-                    # band, but the forecast says it won't be within the
-                    # horizon — adapt now, so the corrected plan is already
-                    # serving when the drift lands.
-                    base.repartitioner.thresholds = cache.thresholds
-                    base.repartitioner.calibration = self._calibration
-                    event = base.repartitioner.observe(
-                        network=forecast, link_bandwidths=link_bandwidths
-                    )
-                    if event.triggered:
-                        if self._adaptation is not None:
-                            self._adaptation.record_proactive(
-                                self._adaptation_time,
-                                self._calibration.config.horizon_s,
-                                self._adaptation_sample,
-                            )
-                        return self._store_plan(
-                            cache,
-                            key,
-                            graph,
-                            profile,
-                            condition,
-                            base.repartitioner,
-                            strategy,
-                            repartitioned=True,
-                            link_bandwidths=link_bandwidths,
-                            source=source,
-                            plan_cluster=plan_cluster,
-                        )
-                cache.record_alias(key, base)
-                return base
-            if base.repartitioner is None:
-                # The method has no local re-partitioning: degrade gracefully
-                # by re-planning from scratch under the drifted condition (the
-                # full re-solve DADS et al. would have to perform anyway).
-                cache.invalidate(base.key)
-                if self._adaptation is not None:
-                    self._adaptation.record_reactive(self._adaptation_time)
-                return self._store_strategy_plan(
-                    cache,
-                    key,
-                    graph,
-                    profile,
-                    condition,
-                    strategy,
-                    repartitioned=True,
-                    link_bandwidths=link_bandwidths,
-                    source=source,
-                    plan_cluster=plan_cluster,
-                )
-            # Out of band: the paper's local re-partitioning adapts the plan
-            # (the listener registered by the cache invalidates the old entry).
-            base.repartitioner.thresholds = cache.thresholds
-            if self._calibration is not None:
-                base.repartitioner.calibration = self._calibration
-            event = base.repartitioner.observe(
-                network=condition, link_bandwidths=link_bandwidths
-            )
-            if not event.triggered:
-                # The repartitioner judged the drift tolerable after all (its
-                # per-vertex view can be coarser than the link-level band);
-                # keep serving the cached plan rather than storing a phantom
-                # "adaptation" that changed nothing.
-                cache.record_alias(key, base)
-                return base
-            if self._adaptation is not None:
-                self._adaptation.record_reactive(self._adaptation_time)
-            return self._store_plan(
-                cache,
-                key,
-                graph,
-                profile,
-                condition,
-                base.repartitioner,
-                strategy,
-                repartitioned=True,
-                link_bandwidths=link_bandwidths,
-                source=source,
-                plan_cluster=plan_cluster,
-            )
-
-        if not isinstance(strategy, HpaStrategy):
-            # Every non-HPA-family method — including custom strategies that
-            # merely claim drift support — plans through its own plan(); the
-            # DynamicRepartitioner below *is* HPA and would silently
-            # substitute an HPA placement under the strategy's name.
-            return self._store_strategy_plan(
-                cache, key, graph, profile, condition, strategy,
-                link_bandwidths=link_bandwidths, source=source,
-                plan_cluster=plan_cluster,
-            )
-
-        repartitioner = DynamicRepartitioner(
-            graph,
-            profile,
-            condition,
-            thresholds=cache.thresholds,
-            config=strategy.hpa_config,
-            economics=self._economics,
-            weights=self.config.objective_weights,
-        )
-        if self._calibration is not None:
-            repartitioner.calibration = self._calibration
-        return self._store_plan(
-            cache, key, graph, profile, condition, repartitioner, strategy,
-            link_bandwidths=link_bandwidths, source=source,
-            plan_cluster=plan_cluster,
-        )
 
     def _store_plan(
         self,
-        cache: PlanCache,
-        key: PlanKey,
-        graph: DnnGraph,
-        profile: LatencyProfile,
-        condition: NetworkCondition,
-        repartitioner: DynamicRepartitioner,
-        strategy: HpaStrategy,
-        repartitioned: bool = False,
-        link_bandwidths: Optional[Dict[str, float]] = None,
-        source: Optional[str] = None,
-        plan_cluster: Optional[Cluster] = None,
-    ) -> CachedPlan:
-        # Snapshot the plan: the repartitioner mutates its own copy in place
-        # on the next drift, and cached entries must stay frozen.
-        placement = repartitioner.plan.copy()
-        if self._memory is not None:
-            placement = self._repair_for_memory(graph, placement, profile, condition)
-        vsm_plan = strategy.separate(graph, placement, self._cluster_spec(plan_cluster))
-        ideal = self._ideal_latency(
-            graph, placement, profile, vsm_plan, condition, link_bandwidths, source,
-            plan_cluster,
-        )
-        if link_bandwidths:
-            # The rates this plan was computed under become the per-link
-            # reference the repartitioner judges future drift against.
-            repartitioner.reference_link_mbps = dict(link_bandwidths)
-        entry = CachedPlan(
-            key=key,
-            graph=graph,
-            profile=profile,
-            placement=placement,
-            vsm_plan=vsm_plan,
-            condition=condition,
-            ideal_latency_s=ideal,
-            repartitioner=repartitioner,
-            link_mbps=dict(link_bandwidths) if link_bandwidths else None,
-        )
-        return cache.store(entry, repartitioned=repartitioned)
-
-    def _store_strategy_plan(
-        self,
-        cache: PlanCache,
         key: PlanKey,
         graph: DnnGraph,
         profile: LatencyProfile,
         condition: NetworkCondition,
         strategy: PartitionStrategy,
+        repartitioner: Optional[DynamicRepartitioner],
         repartitioned: bool = False,
         link_bandwidths: Optional[Dict[str, float]] = None,
         source: Optional[str] = None,
-        plan_cluster: Optional[Cluster] = None,
+        deployment: Optional[Tuple] = None,
     ) -> CachedPlan:
-        """Cache one non-adaptive strategy's plan for ``condition``."""
-        partition = strategy.plan(graph, profile, condition, self._cluster_spec(plan_cluster))
-        placement = partition.placement
-        vsm_plan = partition.vsm_plan
-        if self._memory is not None:
-            repaired = self._repair_for_memory(graph, placement, profile, condition)
-            if repaired is not placement:
-                # The strategy's VSM tiling was derived from the original
-                # placement; a repaired plan runs untiled rather than with a
-                # tiling for tiers it no longer occupies.
-                placement = repaired
-                vsm_plan = None
+        """Compute, price and cache one plan for ``condition``.
+
+        With a ``repartitioner`` (the HPA family) the placement is a snapshot
+        of its current plan, repaired for memory, then tiled by the strategy.
+        Without one the strategy plans placement and tiling itself; a memory
+        repair then drops the tiling.
+        """
+        plan_cluster: Optional[Cluster] = None
+        if deployment is not None:
+            _, plan_cluster = self._degraded_deployment(deployment)
+        if repartitioner is not None:
+            # Snapshot the plan: the repartitioner mutates its own copy in
+            # place on the next drift, and cached entries must stay frozen.
+            placement = repartitioner.plan.copy()
+            if self._memory is not None:
+                placement = self._repair_for_memory(graph, placement, profile, condition)
+            vsm_plan = strategy.separate(graph, placement, self._cluster_spec(plan_cluster))
+            if link_bandwidths:
+                # The rates this plan was computed under become the per-link
+                # reference the repartitioner judges future drift against.
+                repartitioner.reference_link_mbps = dict(link_bandwidths)
+        else:
+            partition = strategy.plan(
+                graph, profile, condition, self._cluster_spec(plan_cluster)
+            )
+            placement, vsm_plan = partition.placement, partition.vsm_plan
+            if self._memory is not None:
+                repaired = self._repair_for_memory(graph, placement, profile, condition)
+                if repaired is not placement:
+                    # The strategy's VSM tiling was derived from the original
+                    # placement; a repaired plan runs untiled rather than with
+                    # a tiling for tiers it no longer occupies.
+                    placement, vsm_plan = repaired, None
         ideal = self._ideal_latency(
             graph, placement, profile, vsm_plan, condition,
             link_bandwidths, source, plan_cluster,
@@ -1304,10 +1259,10 @@ class D3System:
             vsm_plan=vsm_plan,
             condition=condition,
             ideal_latency_s=ideal,
-            repartitioner=None,
+            repartitioner=repartitioner,
             link_mbps=dict(link_bandwidths) if link_bandwidths else None,
         )
-        return cache.store(entry, repartitioned=repartitioned)
+        return self.plan_cache.store(entry, repartitioned=repartitioned)
 
     def _ideal_latency(
         self,

@@ -19,7 +19,7 @@ re-partitioning both in plan quality (latency regret) and in work done.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.hpa import HPAConfig, HorizontalPartitioner
 from repro.core.placement import PlacementPlan, PlanEvaluator, Tier
@@ -62,10 +62,6 @@ class RepartitionEvent:
     plan: Optional[PlacementPlan] = None
     latency_before_s: float = 0.0
     latency_after_s: float = 0.0
-
-    @property
-    def improvement_s(self) -> float:
-        return self.latency_before_s - self.latency_after_s
 
 
 class DynamicRepartitioner:
@@ -120,7 +116,6 @@ class DynamicRepartitioner:
         self.calibration = None
         partitioner = self._partitioner(profile, network)
         self.plan = partitioner.partition(graph)
-        self._listeners: List[Callable[[RepartitionEvent], None]] = []
 
     def _partitioner(
         self, profile: LatencyProfile, network: NetworkCondition
@@ -133,30 +128,6 @@ class DynamicRepartitioner:
             economics=self.economics,
             weights=self.weights,
         )
-
-    # ------------------------------------------------------------------ #
-    # Invalidation hooks
-    # ------------------------------------------------------------------ #
-    def add_listener(self, callback: Callable[[RepartitionEvent], None]) -> None:
-        """Register a callback fired whenever a re-partitioning triggers.
-
-        This is how downstream caches (the serving layer's plan cache) learn
-        that the plan they hold has been invalidated by drifting conditions.
-        """
-        self._listeners.append(callback)
-
-    def remove_listener(self, callback: Callable[[RepartitionEvent], None]) -> None:
-        """Deregister a callback (no-op when it was never registered)."""
-        try:
-            self._listeners.remove(callback)
-        except ValueError:
-            pass
-
-    def _notify(self, event: RepartitionEvent) -> None:
-        # Iterate a copy: a listener may deregister itself (the plan cache's
-        # invalidator does) without disturbing the delivery of this event.
-        for callback in list(self._listeners):
-            callback(event)
 
     # ------------------------------------------------------------------ #
     # Change detection
@@ -313,7 +284,7 @@ class DynamicRepartitioner:
         self.reference_network = network
         if link_bandwidths:
             self.reference_link_mbps = dict(link_bandwidths)
-        event = RepartitionEvent(
+        return RepartitionEvent(
             triggered=True,
             changed_vertices=changed,
             reevaluated_vertices=len(scope),
@@ -321,8 +292,6 @@ class DynamicRepartitioner:
             latency_before_s=latency_before,
             latency_after_s=latency_after,
         )
-        self._notify(event)
-        return event
 
     def observe_topology(
         self,
@@ -334,9 +303,8 @@ class DynamicRepartitioner:
 
         Every declared link is sampled (static rates, trace values, inherited
         tier-pair rates) and watched individually; the planning-view condition
-        derived from those samples feeds the usual tier-pair check.  Listeners
-        registered with :meth:`add_listener` — the plan cache's invalidators —
-        therefore fire on per-link drift, not just backbone drift.
+        derived from those samples feeds the usual tier-pair check, so a
+        single drifting wire triggers an adaptation, not just backbone drift.
         """
         # Inherited links price against the *observed* topology's own base
         # condition (falling back to our reference only when it has none):
@@ -363,7 +331,7 @@ class DynamicRepartitioner:
         latency_after = evaluator.objective(self.plan)
         self.reference_profile = self.current_profile
         self.reference_network = self.current_network
-        event = RepartitionEvent(
+        return RepartitionEvent(
             triggered=True,
             changed_vertices=changed,
             reevaluated_vertices=len(self.graph),
@@ -371,5 +339,3 @@ class DynamicRepartitioner:
             latency_before_s=latency_before,
             latency_after_s=latency_after,
         )
-        self._notify(event)
-        return event

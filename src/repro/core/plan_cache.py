@@ -7,24 +7,23 @@ complete partitioning decisions keyed by ``(model, network condition, system
 configuration)`` and exposes the statistics the serving report surfaces
 (hits, misses, repartitions, invalidations).
 
-Drift handling is wired to :mod:`repro.core.dynamic`: every cached entry owns
+Drift handling is driven by :mod:`repro.core.dynamic`: every cached entry owns
 the :class:`~repro.core.dynamic.DynamicRepartitioner` that produced (or last
-adapted) its plan, and the cache registers itself as a listener on it.  When
-the serving loop observes a network condition outside the entry's threshold
-band, the repartitioner performs the paper's *local* re-partitioning, fires
-the listener — which invalidates the stale entry — and the adapted plan is
-re-inserted under the new condition's key.  Conditions *inside* the band reuse
-the cached plan unchanged (a hit), exactly mirroring the threshold guard of
-section III-E.
+adapted) its plan.  When the serving layer sees a network condition outside
+the entry's threshold band, the repartitioner performs the paper's *local*
+re-partitioning, the serving layer retires the stale entry with an explicit
+:meth:`PlanCache.invalidate`, and the adapted plan is stored under the new
+condition's key.  Conditions *inside* the band reuse the cached plan
+unchanged (a hit), exactly mirroring the threshold guard of section III-E.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.dynamic import DynamicRepartitioner, RepartitionEvent, RepartitionThresholds
+from repro.core.dynamic import DynamicRepartitioner, RepartitionThresholds
 from repro.core.placement import PlacementPlan
 from repro.core.vsm import VSMPlan
 from repro.graph.dag import DnnGraph
@@ -76,6 +75,12 @@ class PlanKey:
             topology=topology,
         )
 
+    @property
+    def stream(self) -> Tuple[str, str, Tuple, Tuple]:
+        """The ``(model, strategy, config, topology)`` drift stream: every
+        condition's key of one deployment shares it."""
+        return (self.model, self.strategy, self.config, self.topology)
+
 
 @dataclass
 class CachedPlan:
@@ -98,10 +103,6 @@ class CachedPlan:
     #: of a traced topology, not just the tier-pair aggregate.
     link_mbps: Optional[Dict[str, float]] = None
     valid: bool = True
-    #: The invalidation callback this entry registered on its repartitioner
-    #: (deregistered again when the entry is invalidated, so long-lived
-    #: repartitioners don't accumulate listeners for dead entries).
-    invalidator: Optional[object] = field(default=None, repr=False)
 
 
 class PlanCache:
@@ -244,20 +245,12 @@ class PlanCache:
         """Insert a fresh entry; counts as a miss or a drift repartition."""
         self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
-        latest_key = (
-            entry.key.model, entry.key.strategy, entry.key.config, entry.key.topology
-        )
-        self._latest[latest_key] = entry
-        self._latest.move_to_end(latest_key)
+        self._latest[entry.key.stream] = entry
+        self._latest.move_to_end(entry.key.stream)
         if repartitioned:
             self.repartitions += 1
         else:
             self.misses += 1
-        if entry.repartitioner is not None:
-            # Wire the invalidation hook: the moment the repartitioner adapts
-            # this plan to new conditions, the cached copy is stale.
-            entry.invalidator = self._make_invalidator(entry)
-            entry.repartitioner.add_listener(entry.invalidator)
         self._evict_over_bound()
         return entry
 
@@ -286,25 +279,10 @@ class PlanCache:
         if self.max_entries is None:
             return
         while len(self._entries) > self.max_entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._drop_listener_if_orphaned(evicted)
+            self._entries.popitem(last=False)
             self.evictions += 1
         while len(self._latest) > self.max_entries:
-            _, evicted = self._latest.popitem(last=False)
-            self._drop_listener_if_orphaned(evicted)
-
-    def _drop_listener_if_orphaned(self, evicted: CachedPlan) -> None:
-        """Deregister an entry's invalidator once nothing references it."""
-        if (
-            evicted.repartitioner is not None
-            and evicted.invalidator is not None
-            and all(entry is not evicted for entry in self._entries.values())
-            and all(entry is not evicted for entry in self._latest.values())
-        ):
-            # No key nor stream seed references the entry any more; the
-            # listener on its repartitioner would only leak.
-            evicted.repartitioner.remove_listener(evicted.invalidator)
-            evicted.invalidator = None
+            self._latest.popitem(last=False)
 
     # ------------------------------------------------------------------ #
     def invalidate(self, key: PlanKey) -> bool:
@@ -316,19 +294,9 @@ class PlanCache:
         aliases = [k for k, v in self._entries.items() if v is entry]
         for alias in aliases:
             del self._entries[alias]
-        if entry.repartitioner is not None and entry.invalidator is not None:
-            entry.repartitioner.remove_listener(entry.invalidator)
-            entry.invalidator = None
         self.invalidations += 1
         return True
 
     def clear(self) -> None:
         self._entries.clear()
         self._latest.clear()
-
-    def _make_invalidator(self, entry: CachedPlan):
-        def _on_repartition(event: RepartitionEvent) -> None:
-            if event.triggered and entry.valid:
-                self.invalidate(entry.key)
-
-        return _on_repartition

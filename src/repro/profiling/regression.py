@@ -123,10 +123,6 @@ class LatencyRegressionModel:
         self._fitted = False
 
     # ------------------------------------------------------------------ #
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
     def fit(self, samples: Sequence[TrainingSample]) -> "LatencyRegressionModel":
         """Fit the estimator on profiler measurements."""
         if not samples:

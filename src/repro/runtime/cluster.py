@@ -301,14 +301,6 @@ class Cluster:
             group = self.edge_nodes
         return [node for node in group if node.name not in self._down_nodes]
 
-    def masked_topology(self) -> Topology:
-        """The degraded deployment description under the current failures.
-
-        Raises :class:`~repro.network.topology.TopologyError` when the
-        degraded shape can no longer serve at all.
-        """
-        return self.topology.masked(frozenset(self._down_nodes), frozenset(self._down_links))
-
     # ------------------------------------------------------------------ #
     # Routing and per-hop pricing
     # ------------------------------------------------------------------ #
@@ -393,17 +385,6 @@ class Cluster:
             # "bandwidth must be positive" error surfaces unchanged.
             return ("traced", spec)
         return ("static", own * MBPS_TO_BYTES_PER_SECOND)
-
-    def shared_link(self, source, destination) -> SharedLink:
-        """The single wire between two tiers/nodes (KeyError when multi-hop)."""
-        src = getattr(source, "value", source)
-        dst = getattr(destination, "value", destination)
-        src_node = src if src in self._nodes_by_name else self.primary_node(Tier(src)).name
-        dst_node = dst if dst in self._nodes_by_name else self.primary_node(Tier(dst)).name
-        hops = self.route(src_node, dst_node)
-        if len(hops) != 1:
-            raise KeyError(f"no single shared link between {src!r} and {dst!r}")
-        return hops[0]
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:

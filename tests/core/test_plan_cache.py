@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.d3 import D3Config, D3System
-from repro.core.dynamic import DynamicRepartitioner, RepartitionThresholds
+from repro.core.dynamic import RepartitionThresholds
 from repro.core.plan_cache import CachedPlan, PlanCache, PlanKey, network_key
 from repro.network.conditions import BandwidthTrace, get_condition
 from repro.runtime.workload import Workload
@@ -79,36 +79,18 @@ class TestCacheAccounting:
 
 class TestInvalidationHook:
     def test_repartitioner_listener_invalidates_entry(self, system, alexnet):
-        """The cache entry dies the moment its repartitioner adapts the plan."""
+        """The cache entry dies the moment a drift adapts its plan."""
         cache = system.plan_cache
         condition = get_condition("wifi")
         entry = system._plan_for(alexnet, condition)
         key = entry.key
         assert cache.get(key) is entry  # a hit while valid
 
-        congested = condition.scaled_backbone(0.1)
-        entry.repartitioner.observe(network=congested)
+        adapted = system._plan_for(alexnet, condition.scaled_backbone(0.1))
+        assert adapted is not entry
         assert not entry.valid
         assert cache.get(key) is None
         assert cache.invalidations == 1
-
-    def test_direct_listener_api(self, alexnet, alexnet_profile):
-        events = []
-        repartitioner = DynamicRepartitioner(
-            alexnet, alexnet_profile, get_condition("wifi")
-        )
-        repartitioner.add_listener(events.append)
-        repartitioner.observe(network=get_condition("wifi").scaled_backbone(0.1))
-        assert len(events) == 1 and events[0].triggered
-
-    def test_within_band_observation_does_not_fire(self, alexnet, alexnet_profile):
-        events = []
-        repartitioner = DynamicRepartitioner(
-            alexnet, alexnet_profile, get_condition("wifi")
-        )
-        repartitioner.add_listener(events.append)
-        repartitioner.observe(network=get_condition("wifi").scaled_backbone(1.05))
-        assert events == []
 
 
 class TestRegressions:
@@ -152,15 +134,13 @@ class TestRegressions:
         assert entry.repartitioner.thresholds == cache.thresholds
 
     def test_listeners_do_not_accumulate_across_drifts(self, system, alexnet):
-        """Repeated drift adaptations must not grow the repartitioner's
-        listener list or leave invalid alias entries behind."""
+        """Repeated drift adaptations must not leave invalid alias entries
+        behind."""
         condition = get_condition("wifi")
-        entry = system._plan_for(alexnet, condition)
-        repartitioner = entry.repartitioner
+        system._plan_for(alexnet, condition)
         for step in range(1, 6):
             factor = 0.3 if step % 2 else 1.0
-            entry = system._plan_for(alexnet, condition.scaled_backbone(factor))
-        assert len(repartitioner._listeners) == 1  # only the live entry's hook
+            system._plan_for(alexnet, condition.scaled_backbone(factor))
         cache = system.plan_cache
         assert all(e.valid for e in cache._entries.values())
 

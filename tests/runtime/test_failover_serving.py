@@ -13,6 +13,7 @@ import pytest
 from repro.core.d3 import D3Config, D3System
 from repro.core.placement import Tier
 from repro.network.faults import FaultSchedule, LinkDown, LinkUp, NodeDown, NodeUp
+from repro.runtime.artifacts import MemoryModel
 from repro.runtime.cluster import Cluster
 from repro.runtime.serving import ServingReport, ServingRequest, ServingSimulator
 from repro.runtime.workload import Workload
@@ -143,6 +144,28 @@ class TestDegradedPlanning:
         assert any(
             "edge-0" in {e.node for e in r.report.events} for r in post if r.completed
         )
+
+
+    def test_memory_constrained_recovery_fails_back(self):
+        """Fail-back must find the degraded stream under a memory model too:
+        memory-keyed plans used to be looked up without their memory token,
+        so the stale degraded entry was never retired."""
+        workload = Workload.constant_rate("vgg16", num_requests=10, interval_s=1.0)
+        schedule = FaultSchedule(
+            [
+                LinkDown(2.0, "edge-cloud"),
+                LinkUp(4.0, "edge-cloud"),
+                LinkDown(6.0, "edge-cloud"),
+                LinkUp(8.0, "edge-cloud"),
+            ]
+        )
+        free = _system(num_edge_nodes=1).serve(workload, faults=schedule)
+        constrained = _system(num_edge_nodes=1).serve(
+            workload, faults=schedule, memory=MemoryModel(64.0, warm=True)
+        )
+        assert free.cache_invalidations >= 1
+        assert constrained.cache_invalidations == free.cache_invalidations
+        assert constrained.latencies_s == free.latencies_s
 
 
 class TestLinkFailures:

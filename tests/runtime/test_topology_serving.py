@@ -7,7 +7,7 @@ from repro.network.conditions import BandwidthTrace
 from repro.network.topology import LinkSpec, NodeSpec, Topology, get_topology
 from repro.profiling.hardware import CLOUD_SERVER, EDGE_DESKTOP, RASPBERRY_PI_4
 from repro.runtime.cluster import Cluster
-from repro.runtime.workload import Workload
+from repro.runtime.workload import Request, Workload
 
 
 def _system(topology=None, **overrides):
@@ -277,6 +277,18 @@ class TestTracedTopologyAdaptation:
         assert report.cache_misses == 1
         assert report.repartitions >= 1
         assert system.plan_cache.invalidations >= 1
+
+    def test_failover_retry_with_nothing_down_plans_like_an_arrival(self):
+        """A retry after everything recovered sees the traced LAN at its own
+        instant (12 Mbps at t=6s), not the healthy t=0 view (84.95 Mbps)."""
+        system = _system(self._drifting_topology())
+        workload = Workload(requests=[Request(0, "alexnet", 6.0)])
+        [arrival] = system.plan_requests(workload)
+        replan = system._make_replanner(system._strategy_for(), None)
+        retry = replan(arrival, 6.0, frozenset(), frozenset())
+        assert retry.condition == arrival.condition
+        assert retry.condition.device_edge_mbps == pytest.approx(12.0)
+        assert retry.plan.assignments == arrival.plan.assignments
 
     def test_stable_traced_topology_stays_cached(self):
         """In-band wobble on a traced link is a cache hit, not a repartition."""
