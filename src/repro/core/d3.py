@@ -222,6 +222,13 @@ class D3Result:
         return {tier: busy * 1e3 for tier, busy in self.report.tier_busy_seconds().items()}
 
 
+def _lru_put(memo: OrderedDict, key, value, bound: int) -> None:
+    """Insert ``key`` as most recent, dropping the oldest keys past ``bound``."""
+    memo[key] = value
+    while len(memo) > bound:
+        memo.popitem(last=False)
+
+
 class D3System:
     """End-to-end D3: profile, estimate, partition, separate, execute."""
 
@@ -229,6 +236,10 @@ class D3System:
     #: cluster per failure signature); far above what any realistic fault
     #: schedule visits, but a hard cap against combinatorial shapes.
     DEGRADED_MEMO_ENTRIES = 32
+    #: LRU bound, applied to each memo separately, on interned plan artefacts
+    #: (distinct placements across all drift streams) and on their priced
+    #: one-shot baselines.
+    PLAN_ARTIFACT_ENTRIES = 64
 
     def __init__(self, config: Optional[D3Config] = None) -> None:
         self.config = config or D3Config()
@@ -261,6 +272,16 @@ class D3System:
         #: LRU-bounded: a chaotic fleet can visit combinatorially many
         #: failure signatures over a long lifetime.
         self._degraded: "OrderedDict[Tuple, Tuple[Topology, Cluster]]" = OrderedDict()
+        #: Plan artefacts interned by ``(drift stream, assignment signature)``:
+        #: drift repartitions that land on a placement seen before reuse its
+        #: ``(placement snapshot, VSM tiling)``.  Every request holding one
+        #: shares the objects, so neither is ever mutated.
+        self._artifacts: "OrderedDict[Tuple, Tuple[PlacementPlan, Optional[VSMPlan]]]" = (
+            OrderedDict()
+        )
+        #: One-shot baselines of interned artefacts, keyed by the artefact's
+        #: key plus ``(condition, sorted link rates, source)``.
+        self._prices: "OrderedDict[Tuple, float]" = OrderedDict()
         #: Memory constraint in effect for the current serve()/plan_requests()
         #: call; None outside memory-constrained calls so the planning path
         #: stays bit-identical to the memory-free one.
@@ -886,9 +907,7 @@ class D3System:
             cluster = Cluster.from_topology(
                 masked, network=masked.base_network or self.config.resolve_network()
             )
-            self._degraded[key] = (masked, cluster)
-            while len(self._degraded) > self.DEGRADED_MEMO_ENTRIES:
-                self._degraded.popitem(last=False)
+            _lru_put(self._degraded, key, (masked, cluster), self.DEGRADED_MEMO_ENTRIES)
         else:
             self._degraded.move_to_end(key)
         return self._degraded[key]
@@ -1216,21 +1235,41 @@ class D3System:
     ) -> CachedPlan:
         """Compute, price and cache one plan for ``condition``.
 
-        With a ``repartitioner`` (the HPA family) the placement is a snapshot
-        of its current plan, repaired for memory, then tiled by the strategy.
-        Without one the strategy plans placement and tiling itself; a memory
-        repair then drops the tiling.
+        With a ``repartitioner`` (the HPA family) the placement is its current
+        plan, repaired for memory, and interned per drift stream: a placement
+        this stream has produced before reuses that snapshot, its tiling and
+        its priced baselines; a new one is snapshotted and tiled by the
+        strategy.  Without a repartitioner the strategy plans placement and
+        tiling itself; a memory repair then drops the tiling.
         """
         plan_cluster: Optional[Cluster] = None
         if deployment is not None:
             _, plan_cluster = self._degraded_deployment(deployment)
+        price_key: Optional[Tuple] = None
         if repartitioner is not None:
-            # Snapshot the plan: the repartitioner mutates its own copy in
-            # place on the next drift, and cached entries must stay frozen.
-            placement = repartitioner.plan.copy()
+            placement = repartitioner.plan
             if self._memory is not None:
                 placement = self._repair_for_memory(graph, placement, profile, condition)
-            vsm_plan = strategy.separate(graph, placement, self._cluster_spec(plan_cluster))
+            interned = (key.stream, placement.signature())
+            artifact = self._artifacts.get(interned)
+            if artifact is None:
+                # Snapshot the plan: the repartitioner mutates its own copy
+                # in place on the next drift, and shared artefacts must stay
+                # frozen.
+                placement = placement.copy()
+                artifact = (
+                    placement,
+                    strategy.separate(graph, placement, self._cluster_spec(plan_cluster)),
+                )
+                _lru_put(self._artifacts, interned, artifact, self.PLAN_ARTIFACT_ENTRIES)
+            else:
+                self._artifacts.move_to_end(interned)
+            placement, vsm_plan = artifact
+            price_key = interned + (
+                condition,
+                tuple(sorted(link_bandwidths.items())) if link_bandwidths else (),
+                source,
+            )
             if link_bandwidths:
                 # The rates this plan was computed under become the per-link
                 # reference the repartitioner judges future drift against.
@@ -1247,10 +1286,16 @@ class D3System:
                     # placement; a repaired plan runs untiled rather than with
                     # a tiling for tiers it no longer occupies.
                     placement, vsm_plan = repaired, None
-        ideal = self._ideal_latency(
-            graph, placement, profile, vsm_plan, condition,
-            link_bandwidths, source, plan_cluster,
-        )
+        if price_key is not None and price_key in self._prices:
+            self._prices.move_to_end(price_key)
+            ideal = self._prices[price_key]
+        else:
+            ideal = self._ideal_latency(
+                graph, placement, profile, vsm_plan, condition,
+                link_bandwidths, source, plan_cluster,
+            )
+            if price_key is not None:
+                _lru_put(self._prices, price_key, ideal, self.PLAN_ARTIFACT_ENTRIES)
         entry = CachedPlan(
             key=key,
             graph=graph,

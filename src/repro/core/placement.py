@@ -124,6 +124,10 @@ class PlacementPlan:
     def copy(self) -> "PlacementPlan":
         return PlacementPlan(self.graph, dict(self.assignments))
 
+    def signature(self) -> Tuple[Tuple[int, Tier], ...]:
+        """Hashable content of the assignment: equal plans share it."""
+        return tuple(sorted(self.assignments.items()))
+
     # ------------------------------------------------------------------ #
     def cut_edges(self) -> List[Tuple[Vertex, Vertex]]:
         """Directed links whose endpoints sit on different tiers."""

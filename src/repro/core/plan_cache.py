@@ -15,6 +15,14 @@ re-partitioning, the serving layer retires the stale entry with an explicit
 :meth:`PlanCache.invalidate`, and the adapted plan is stored under the new
 condition's key.  Conditions *inside* the band reuse the cached plan
 unchanged (a hit), exactly mirroring the threshold guard of section III-E.
+
+Cached placements and VSM tilings are shared, immutable snapshots.  The
+facade interns them per drift stream and assignment, so every entry (and
+every serving request) whose placement has the same assignment holds the
+very same :class:`~repro.core.placement.PlacementPlan` and
+:class:`~repro.core.vsm.VSMPlan` objects.  Nothing may mutate them: a later
+drift adapts the repartitioner's own working plan, never a snapshot that has
+already been served.
 """
 
 from __future__ import annotations
