@@ -462,12 +462,17 @@ class D3System:
             fields and sheds requests whose SLO is already unreachable at
             arrival.
         stream_stats:
-            Serve at benchmark scale: per-request records and timelines are
-            not kept, so memory stays O(nodes) rather than O(requests) and
-            the report's ``records`` are empty.  Every report aggregate reads
-            the same online accumulators in both modes; the only difference
-            is that percentiles are exact up to the accumulators' threshold
-            and reservoir-estimated above it.
+            Serve at benchmark scale: per-request records, their timelines
+            and the micro-batch log are not kept, so the report's
+            ``records`` and ``batches`` are empty, and the retained latency
+            sample stops growing at the accumulators' threshold.  This
+            bounds what the run keeps per *finished* request only: the
+            workload is still planned into one request object per arrival
+            and every arrival is queued before the run starts, so memory
+            still grows with the number of requests.  Every report aggregate
+            reads the same online accumulators in both modes; the only
+            difference is that percentiles are exact up to the accumulators'
+            threshold and reservoir-estimated above it.
         elasticity:
             Optional capacity scenario: an
             :class:`~repro.runtime.elasticity.ElasticitySchedule` of

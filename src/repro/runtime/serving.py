@@ -63,7 +63,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.placement import PlacementPlan, Tier
@@ -87,7 +87,6 @@ from repro.runtime.elasticity import (
     resolve_autoscaler,
     resolve_balancer,
 )
-from repro.runtime.messages import TensorTransfer
 from repro.runtime.node import ComputeNode
 from repro.runtime.scheduler import (
     DeadlineScheduler,
@@ -95,7 +94,7 @@ from repro.runtime.scheduler import (
     Scheduler,
     resolve_scheduler,
 )
-from repro.runtime.simulator import ExecutionReport, TimelineEvent
+from repro.runtime.simulator import EventRow, ExecutionReport, TransferRow
 
 #: Link contention models understood by the engine.
 LINK_CONTENTION_MODES = ("fifo", "none")
@@ -230,7 +229,9 @@ class ServingReport:
     #: Dispatch-size histogram: ``{batch size: dispatches}``.  FIFO/EDF runs
     #: are all size 1; the batching scheduler's occupancy shows up here.
     batch_occupancy: Dict[int, int] = field(default_factory=dict)
-    #: Every multi-member batch the engine executed (size > 1 only).
+    #: Every multi-member batch the engine executed (size > 1 only); empty
+    #: under ``stream_stats``, which keeps no batch log (``batch_occupancy``
+    #: still counts every dispatch).
     batches: List[BatchRecord] = field(default_factory=list)
     #: Registry name of the partitioning method the stream was planned with
     #: (filled by :meth:`repro.core.d3.D3System.serve`; empty when the report
@@ -659,6 +660,7 @@ class _CompiledUnit:
     __slots__ = (
         "pos",
         "tier",
+        "tier_value",
         "vertices",
         "run",
         "topo_key",
@@ -677,6 +679,8 @@ class _CompiledUnit:
     def __init__(self, tier: Tier, vertices: List[Vertex], run: Optional[FusedRunPlan]) -> None:
         self.pos = 0  # position in the compiled unit list
         self.tier = tier
+        #: ``tier.value``, the form timeline rows store.
+        self.tier_value = tier.value
         self.vertices = vertices
         self.run = run
         self.topo_key = 0
@@ -833,7 +837,8 @@ class _RequestState:
 
     __slots__ = (
         "request",
-        "report",
+        "events",
+        "transfers",
         "unit_list",
         "remaining_units",
         "completion_s",
@@ -857,17 +862,11 @@ class _RequestState:
         self, request: ServingRequest, source_node: ComputeNode, timeline: bool = True
     ) -> None:
         self.request = request
-        #: Per-request timeline; ``None`` under ``stream_stats`` (events and
-        #: transfers are not kept at benchmark scale).
-        self.report: Optional[ExecutionReport] = (
-            ExecutionReport(
-                model_name=request.graph.name,
-                end_to_end_latency_s=0.0,
-                request_id=request.request_id,
-            )
-            if timeline
-            else None
-        )
+        #: Per-request timeline as flat rows (see
+        #: :meth:`ExecutionReport.from_rows`); ``None`` under
+        #: ``stream_stats``, where no timeline is kept.
+        self.events: Optional[List[EventRow]] = [] if timeline else None
+        self.transfers: Optional[List[TransferRow]] = [] if timeline else None
         self.unit_list: List[_Unit] = []
         self.remaining_units = 0
         self.completion_s = 0.0
@@ -1009,8 +1008,8 @@ class _NodeState:
         #: event carrying a stale id was cancelled by a node failure.
         self.run_id = 0
         #: ``(members, end_s)`` of the running dispatch, where ``members`` is
-        #: one ``(task, events_list, event_index)`` per batch member, kept so
-        #: a node death can truncate every member's timeline event.
+        #: one ``(task, event rows, row index)`` per batch member, kept so a
+        #: node death can truncate every member's timeline row.
         self.current: Optional[Tuple[List[Tuple[_Task, list, int]], float]] = None
 
 
@@ -1077,11 +1076,12 @@ class ServingSimulator:
         bit-identical to the unconstrained engine (the golden traces pin
         this).
     stream_stats:
-        Benchmark mode for huge workloads: per-request timelines and
-        :class:`RequestRecord` objects are not kept, so :meth:`run` returns
-        an empty list.  Aggregates do not depend on it: every run streams
-        them into one :class:`~repro.runtime.accumulators.ServingStats` as
-        requests retire, and every report number reads it.  The one
+        Benchmark mode for huge workloads: per-request timelines,
+        :class:`RequestRecord` objects and the micro-batch log are not
+        kept, so :meth:`run` returns an empty list.  Aggregates do not
+        depend on it: every run streams them into one
+        :class:`~repro.runtime.accumulators.ServingStats` as requests
+        retire, and every report number reads it.  The one
         difference is percentile exactness: exact while records are kept;
         exact up to
         :data:`~repro.runtime.accumulators.DEFAULT_EXACT_THRESHOLD` samples
@@ -1265,7 +1265,8 @@ class ServingSimulator:
         Records come back in request-index order.  Event/transfer timestamps
         in the per-request reports are absolute simulation times; each
         report's ``end_to_end_latency_s`` is relative to its request's
-        arrival.
+        arrival.  Each report keeps its timeline as flat rows and builds its
+        ``events``/``transfers`` objects on first read.
 
         Under ``stream_stats`` no records are kept and the returned list is
         empty; :meth:`build_report` reads the run's aggregates either way.
@@ -1563,8 +1564,15 @@ class ServingSimulator:
             model=request.graph.name,
         )
         if self._timelines:
-            report = state.report
-            report.end_to_end_latency_s = completion_s - request.arrival_s
+            # The report shares the row lists: a node death after retirement
+            # can still truncate an event of this request's discarded work.
+            report = ExecutionReport.from_rows(
+                request.graph.name,
+                completion_s - request.arrival_s,
+                state.events,
+                state.transfers,
+                request.request_id,
+            )
             record = RequestRecord(
                 request_id=request.request_id,
                 model=request.graph.name,
@@ -2030,6 +2038,7 @@ class ServingSimulator:
             push = heapq.heappush
             direct = self._pop_select and not self._faulty
             timelines = self._timelines
+            tier_value = unit.compiled.tier_value
             events = self._events
             occupancy = self.batch_occupancy
             for node, duration, label, node_state in tasks:
@@ -2051,16 +2060,8 @@ class ServingSimulator:
                     compute.busy_seconds += duration
                     node_state.busy = True
                     if timelines:
-                        state.report.events.append(
-                            TimelineEvent(
-                                node=compute.name,
-                                tier=unit.tier,
-                                label=label,
-                                kind="compute",
-                                start_s=start,
-                                end_s=end,
-                                request_id=state.request.request_id,
-                            )
+                        state.events.append(
+                            (compute.name, tier_value, label, "compute", start, end)
                         )
                     run_id = node_state.run_id + 1
                     node_state.run_id = run_id
@@ -2184,20 +2185,12 @@ class ServingSimulator:
             node.busy_seconds += duration
             node_state.busy = True
             if self._timelines:
-                state = task.unit.state
-                events = state.report.events
-                events.append(
-                    TimelineEvent(
-                        node=node.name,
-                        tier=task.unit.tier,
-                        label=task.label,
-                        kind="compute",
-                        start_s=start,
-                        end_s=end,
-                        request_id=state.request.request_id,
-                    )
+                unit = task.unit
+                rows = unit.state.events
+                rows.append(
+                    (node.name, unit.compiled.tier_value, task.label, "compute", start, end)
                 )
-                members = [(task, events, len(events) - 1)]
+                members = [(task, rows, len(rows) - 1)]
             else:
                 members = [(task, None, 0)]
             run_id = node_state.run_id + 1
@@ -2214,37 +2207,19 @@ class ServingSimulator:
         duration = batch_cost_s(solo, node_state.node.hardware.batch_exponent)
         start, end = node_state.node.schedule(time_s, duration)
         node_state.busy = True
-        members = []
         if self._timelines:
+            name = node_state.node.name
+            prefix = f"batch[{len(tasks)}]:"
+            members = []
             for task in tasks:
-                state = task.unit.state
-                label = (
-                    task.label if len(tasks) == 1 else f"batch[{len(tasks)}]:{task.label}"
-                )
-                state.report.events.append(
-                    TimelineEvent(
-                        node=node_state.node.name,
-                        tier=task.unit.tier,
-                        label=label,
-                        kind="compute",
-                        start_s=start,
-                        end_s=end,
-                        request_id=state.request.request_id,
-                    )
-                )
-                members.append((task, state.report.events, len(state.report.events) - 1))
-        else:
-            # Streaming mode materializes no timelines; members still carry
-            # the tasks so a node death can flag their requests.
-            for task in tasks:
-                members.append((task, None, 0))
-        node_state.run_id += 1
-        node_state.current = (members, end)
-        self.batch_occupancy[len(tasks)] = self.batch_occupancy.get(len(tasks), 0) + 1
-        if len(tasks) > 1 and self._timelines:
+                unit = task.unit
+                rows = unit.state.events
+                label = prefix + task.label
+                rows.append((name, unit.compiled.tier_value, label, "compute", start, end))
+                members.append((task, rows, len(rows) - 1))
             self.batches.append(
                 BatchRecord(
-                    node=node_state.node.name,
+                    node=name,
                     label=tasks[0].label,
                     size=len(tasks),
                     start_s=start,
@@ -2253,6 +2228,13 @@ class ServingSimulator:
                     total_solo_s=sum(solo),
                 )
             )
+        else:
+            # Streaming mode keeps no timelines; members still carry the
+            # tasks so a node death can flag their requests.
+            members = [(task, None, 0) for task in tasks]
+        node_state.run_id += 1
+        node_state.current = (members, end)
+        self.batch_occupancy[len(tasks)] = self.batch_occupancy.get(len(tasks), 0) + 1
         self._push(end, "task_end", (node_state, tasks, node_state.run_id))
 
     def _handle_task_end_direct(
@@ -2305,17 +2287,10 @@ class ServingSimulator:
         unit.completed = True
         if time_s > state.completion_s:
             state.completion_s = time_s
-        if state.report is not None and unit.run is not None:
-            state.report.events.append(
-                TimelineEvent(
-                    node=unit.home_node.name,
-                    tier=Tier.EDGE,
-                    label=unit.gather_label,
-                    kind="gather",
-                    start_s=time_s,
-                    end_s=time_s,
-                    request_id=state.request.request_id,
-                )
+        if state.events is not None and unit.run is not None:
+            gather = unit.gather_label
+            state.events.append(
+                (unit.home_node.name, Tier.EDGE.value, gather, "gather", time_s, time_s)
             )
         epoch = state.epoch
         unit_list = state.unit_list
@@ -2437,17 +2412,16 @@ class ServingSimulator:
         if dst_unit.tier == Tier.CLOUD and src_unit.tier != Tier.CLOUD:
             # The exact predicate of ``TensorTransfer.crosses_backbone``.
             state.bytes_to_cloud += payload
-        if state.report is not None:
-            state.report.transfers.append(
-                TensorTransfer(
-                    producer=producer.name,
-                    consumer=consumer.name,
-                    source_tier=src_unit.tier,
-                    destination_tier=dst_unit.tier,
-                    payload_bytes=payload,
-                    start_s=overall_start,
-                    duration_s=clock - overall_start,
-                    request_id=request.request_id,
+        if state.transfers is not None:
+            state.transfers.append(
+                (
+                    producer.name,
+                    consumer.name,
+                    src_unit.compiled.tier_value,
+                    dst_unit.compiled.tier_value,
+                    payload,
+                    overall_start,
+                    clock - overall_start,
                 )
             )
         if self.faults:
@@ -2595,16 +2569,15 @@ class ServingSimulator:
                 continue
             self._cold_start_s += delay_s
             self._loading[key] = [(state, unit, state.epoch)]
-            if state.report is not None:
-                state.report.events.append(
-                    TimelineEvent(
-                        node=name,
-                        tier=unit.tier,
-                        label=f"load:{model}",
-                        kind="coldstart",
-                        start_s=time_s,
-                        end_s=time_s + delay_s,
-                        request_id=state.request.request_id,
+            if state.events is not None:
+                state.events.append(
+                    (
+                        name,
+                        unit.compiled.tier_value,
+                        f"load:{model}",
+                        "coldstart",
+                        time_s,
+                        time_s + delay_s,
                     )
                 )
             self._push(time_s + delay_s, "coldstart", (name, model, entry_bytes))
@@ -2795,11 +2768,10 @@ class ServingSimulator:
             return
         members, end_s = node_state.current
         if end_s > time_s:
-            for _, events_list, event_index in members:
-                if events_list is not None and events_list[event_index].end_s > time_s:
-                    events_list[event_index] = replace(
-                        events_list[event_index], end_s=time_s
-                    )
+            for _, rows, index in members:
+                if rows is not None and rows[index][5] > time_s:
+                    # Rows are ``(..., start_s, end_s)``: cut the end.
+                    rows[index] = rows[index][:5] + (time_s,)
             node_state.node.busy_seconds -= end_s - time_s
         if len(members) > 1:
             for task, _, _ in members:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.placement import Tier
 from repro.runtime.messages import TensorTransfer
@@ -31,9 +31,23 @@ class TimelineEvent:
         return self.end_s - self.start_s
 
 
+#: ``(node, tier value, label, kind, start_s, end_s)`` — one
+#: :class:`TimelineEvent` before it is built.
+EventRow = Tuple[str, str, str, str, float, float]
+#: ``(producer, consumer, source tier value, destination tier value,
+#: payload_bytes, start_s, duration_s)`` — one :class:`TensorTransfer`.
+TransferRow = Tuple[str, str, str, str, int, float, float]
+
+
 @dataclass
 class ExecutionReport:
-    """Result of simulating one inference through a partitioned DNN."""
+    """Result of simulating one inference through a partitioned DNN.
+
+    Direct callers pass ``events`` and ``transfers`` as object lists.  The
+    serving engine instead builds reports with :meth:`from_rows`, whose
+    timeline stays as flat rows of atoms until ``events`` or ``transfers``
+    is first read.
+    """
 
     model_name: str
     end_to_end_latency_s: float
@@ -44,6 +58,65 @@ class ExecutionReport:
     #: simulation times while ``end_to_end_latency_s`` stays relative to the
     #: request's arrival.
     request_id: Optional[str] = None
+
+    @classmethod
+    def from_rows(
+        cls,
+        model_name: str,
+        end_to_end_latency_s: float,
+        event_rows: List[EventRow],
+        transfer_rows: List[TransferRow],
+        request_id: Optional[str] = None,
+    ) -> "ExecutionReport":
+        """A report whose timeline is built from rows on first read.
+
+        Rows hold only strings and numbers, so the cyclic GC untracks them;
+        a long serving run keeps one small tuple per event instead of one
+        dataclass instance.  The row lists are held by reference, not
+        copied, until ``events``/``transfers`` is first read; each is then
+        built once, through the normal constructors (and their checks), and
+        cached in place of its rows.
+        """
+        report = cls.__new__(cls)
+        report.model_name = model_name
+        report.end_to_end_latency_s = end_to_end_latency_s
+        report.request_id = request_id
+        report._event_rows = event_rows
+        report._transfer_rows = transfer_rows
+        return report
+
+    def __getattr__(self, name: str):
+        # Only reached for attributes missing from the instance: the
+        # timeline lists of a :meth:`from_rows` report before first read.
+        state = self.__dict__
+        if name == "events" and "_event_rows" in state:
+            request_id = self.request_id
+            value = [
+                TimelineEvent(node, Tier(tier), label, kind, start_s, end_s, request_id)
+                for node, tier, label, kind, start_s, end_s in state.pop("_event_rows")
+            ]
+        elif name == "transfers" and "_transfer_rows" in state:
+            request_id = self.request_id
+            value = [
+                TensorTransfer(
+                    producer,
+                    consumer,
+                    Tier(source),
+                    Tier(destination),
+                    payload_bytes,
+                    start_s,
+                    duration_s,
+                    request_id,
+                )
+                for producer, consumer, source, destination, payload_bytes, start_s, duration_s
+                in state.pop("_transfer_rows")
+            ]
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        state[name] = value
+        return value
 
     # ------------------------------------------------------------------ #
     def node_busy_seconds(self) -> Dict[str, float]:

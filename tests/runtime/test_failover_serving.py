@@ -15,6 +15,7 @@ from repro.core.placement import Tier
 from repro.network.faults import FaultSchedule, LinkDown, LinkUp, NodeDown, NodeUp
 from repro.runtime.artifacts import MemoryModel
 from repro.runtime.cluster import Cluster
+from repro.runtime.scheduler import BatchingScheduler
 from repro.runtime.serving import ServingReport, ServingRequest, ServingSimulator
 from repro.runtime.workload import Workload
 
@@ -339,6 +340,37 @@ class TestStandaloneSimulatorFailover:
             if e.node == "edge-0" and e.kind == "compute"
         )
         assert node.busy_seconds == pytest.approx(event_busy)
+
+    def test_truncated_batch_keeps_busy_seconds_consistent(self):
+        """A node dying mid-batch cuts every member's event at the death
+        time, and the node's rolled-back busy time charges the batch once."""
+        scheduler = BatchingScheduler(max_batch=4, max_wait_ms=20.0)
+        workload = Workload.poisson("alexnet", num_requests=30, rate_rps=40.0, seed=0)
+        clean = _system(num_edge_nodes=3).serve(workload, scheduler=scheduler)
+        batch = next(b for b in clean.batches if b.node == "edge-0" and b.size > 1)
+        death_s = (batch.start_s + batch.end_s) / 2
+
+        system = _system(num_edge_nodes=3)
+        report = system.serve(
+            workload, scheduler=scheduler, faults=FaultSchedule([NodeDown(death_s, "edge-0")])
+        )
+        events = [
+            event
+            for record in report.records
+            for event in record.report.events
+            if event.node == "edge-0" and event.kind == "compute"
+        ]
+        members = [event for event in events if event.start_s == batch.start_s]
+        assert len(members) == batch.size
+        assert all(event.label.startswith(f"batch[{batch.size}]:") for event in members)
+        assert all(event.end_s == death_s for event in members)
+        assert sum(e.duration_s for e in members) == pytest.approx(
+            batch.size * (death_s - batch.start_s)
+        )
+        # A batch occupies its node once: its members share one span.
+        spans = {(event.start_s, event.end_s) for event in events}
+        busy = sum(end_s - start_s for start_s, end_s in spans)
+        assert system.cluster.node("edge-0").busy_seconds == pytest.approx(busy)
 
 
 class TestAvailabilityHarness:
