@@ -660,14 +660,18 @@ class D3System:
         requests: List[ServingRequest] = []
         no_faults: Tuple = (frozenset(), frozenset())
         previous_down = no_faults
+        # Arrivals are non-decreasing (``Workload`` enforces it), so one
+        # forward cursor per schedule replays each schedule once per stream.
+        faults = schedule.cursor() if schedule else None
+        membership = elastic.cursor() if elastic is not None else None
         for request in workload:
-            down = schedule.state_at(request.arrival_s) if schedule else no_faults
-            if elastic is not None:
+            down = faults.advance(request.arrival_s) if faults is not None else no_faults
+            if membership is not None:
                 # Nodes parked, provisioning or drained at this arrival are
                 # masked out of the planning view exactly like failed ones —
                 # membership rides the degraded (masked-fingerprint) plan-
                 # cache path, so a join flowing back is a fail-back drift.
-                inactive = elastic.state_at(request.arrival_s)
+                (inactive,) = membership.advance(request.arrival_s)
                 if inactive:
                     down = (down[0] | inactive, down[1])
             graph = request.graph or self.graph_for(request.model)
@@ -945,9 +949,7 @@ class D3System:
             if trace is not None:
                 condition = trace.condition_at(at_s)
             else:
-                condition = masked.planning_condition(
-                    at_s=at_s if masked.has_traced_links else 0.0, source=source
-                )
+                condition = masked.planning_condition(at_s=at_s, source=source)
         except TopologyError:
             return None
         entry = self._plan_for(

@@ -238,8 +238,9 @@ class PlanEvaluator:
     ) -> None:
         self.profile = profile
         self.network = network
-        #: Optional online calibrator: when set, observed per-(tier, layer)
-        #: latencies and tier-pair throughput override the analytic values.
+        #: Optional online calibrator: when set, observed per-(model, tier,
+        #: layer) latencies and tier-pair throughput override the analytic
+        #: values.
         self.calibration = calibration
         #: Optional per-tier energy/pricing view plus scalarisation weights.
         #: ``objective`` only leaves the pure-latency code path when both are
@@ -279,7 +280,9 @@ class PlanEvaluator:
         if key not in memo:
             value = self.profile.get(vertex.index, tier)
             if self.calibration is not None:
-                value = self.calibration.layer_seconds(vertex.name, tier.value, value)
+                value = self.calibration.layer_seconds(
+                    vertex.name, tier.value, value, self.profile.model_name
+                )
             memo[key] = value
         return memo[key]
 

@@ -11,16 +11,18 @@ first-class, serializable artifact, mirroring how
   one timed fault each, targeting a topology node or link by name;
 * :class:`FaultSchedule` — the ordered event list with JSON round-tripping
   (the dialect ``repro serve --faults schedule.json`` consumes), point-in-time
-  state queries (:meth:`FaultSchedule.state_at`), and validation against a
-  topology;
+  state queries (:meth:`FaultSchedule.state_at`) and a forward cursor over a
+  sorted stream of times (:meth:`FaultSchedule.cursor`), and validation
+  against a topology;
 * :meth:`FaultSchedule.chaos` — a seeded random generator of crash/recover
   cycles with per-tier mean-time-between-failure rates, so chaos experiments
   are reproducible artefacts too (``repro serve --faults chaos:<seed>``).
 
 The schedule is purely declarative; the serving engine consumes it as
 first-class simulation events (aborting in-flight work, triggering failover
-replanning) and the planning layer samples :meth:`state_at` to plan each
-request against the deployment shape in effect at its arrival.
+replanning) and the planning layer steps one :meth:`~FaultSchedule.cursor`
+through the arrivals to plan each request against the deployment shape in
+effect at its arrival.
 """
 
 from __future__ import annotations
@@ -163,6 +165,61 @@ class TimedSchedule:
         return self.events[-1].time_s if self.events else 0.0
 
 
+class ScheduleCursor:
+    """Forward replay of a timed schedule over non-decreasing query times.
+
+    ``transitions`` are ``(effective_s, slot, target, down)`` tuples in the
+    order they apply; ``initial`` holds one starting set of down targets per
+    slot.  :meth:`advance` applies only the transitions it has not applied
+    yet, so stepping one cursor through a sorted stream of times costs
+    O(events) in total instead of a full replay per query, and it returns the
+    very same state tuple (and frozensets) while nothing new takes effect.
+    Transitions effective exactly at the query time are already applied.
+    """
+
+    __slots__ = ("_transitions", "_next", "_time_s", "_sets", "_state")
+
+    def __init__(
+        self,
+        transitions: Sequence[Tuple[float, int, str, bool]],
+        initial: Sequence[FrozenSet[str]],
+    ) -> None:
+        self._transitions = transitions
+        self._next = 0
+        self._time_s = float("-inf")
+        self._sets = [set(targets) for targets in initial]
+        self._state: Tuple[FrozenSet[str], ...] = tuple(
+            frozenset(targets) for targets in initial
+        )
+
+    def advance(self, time_s: float) -> Tuple[FrozenSet[str], ...]:
+        """The per-slot down sets in effect at ``time_s``.
+
+        Raises :class:`ValueError` when ``time_s`` is earlier than the
+        previous query: a forward cursor cannot un-apply events.
+        """
+        if time_s < self._time_s:
+            raise ValueError(
+                f"schedule cursor is at {self._time_s}s; cannot move back to {time_s}s"
+            )
+        self._time_s = time_s
+        transitions, sets = self._transitions, self._sets
+        start = index = self._next
+        while index < len(transitions) and transitions[index][0] <= time_s:
+            _, slot, target, down = transitions[index]
+            if down:
+                sets[slot].add(target)
+            else:
+                sets[slot].discard(target)
+            index += 1
+        if index != start:
+            self._next = index
+            state = tuple(frozenset(targets) for targets in sets)
+            if state != self._state:
+                self._state = state
+        return self._state
+
+
 class FaultSchedule(TimedSchedule):
     """An ordered, validated list of timed fault events.
 
@@ -181,6 +238,18 @@ class FaultSchedule(TimedSchedule):
         super().__init__(events, name=name)
 
     # ------------------------------------------------------------------ #
+    def cursor(self) -> ScheduleCursor:
+        """A forward cursor whose ``advance(t)`` is ``(down_nodes, down_links)``.
+
+        Feed it non-decreasing times (a workload's arrivals) to replay the
+        schedule once for a whole stream.
+        """
+        transitions = [
+            (event.time_s, 0 if event.is_node_event else 1, event.target, event.is_failure)
+            for event in self.events
+        ]
+        return ScheduleCursor(transitions, (frozenset(), frozenset()))
+
     def state_at(self, time_s: float) -> Tuple[FrozenSet[str], FrozenSet[str]]:
         """The ``(down_nodes, down_links)`` in effect at ``time_s``.
 
@@ -188,17 +257,7 @@ class FaultSchedule(TimedSchedule):
         arriving the instant a node dies sees it dead, matching the serving
         engine's fault-before-arrival tie-break).
         """
-        down_nodes: set = set()
-        down_links: set = set()
-        for event in self.events:
-            if event.time_s > time_s:
-                break
-            targets = down_nodes if event.is_node_event else down_links
-            if event.is_failure:
-                targets.add(event.target)
-            else:
-                targets.discard(event.target)
-        return frozenset(down_nodes), frozenset(down_links)
+        return self.cursor().advance(time_s)
 
     def validate_against(self, topology) -> None:
         """Check every event targets a node/link the topology declares."""

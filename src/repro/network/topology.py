@@ -296,6 +296,10 @@ class Topology:
         self._routes: Dict[Tuple[str, str], List[str]] = {}
         self._adjacency_cache: Optional[Dict[str, List[Tuple[str, str]]]] = None
         self._fingerprint: Optional[Tuple] = None
+        self._traced = any(
+            isinstance(link.bandwidth, BandwidthTrace) for link in self.links.values()
+        )
+        self._conditions: Dict[Optional[str], NetworkCondition] = {}
         self.validate()
 
     # ------------------------------------------------------------------ #
@@ -317,10 +321,9 @@ class Topology:
 
     @property
     def has_traced_links(self) -> bool:
-        """True when any link's bandwidth drifts on its own trace."""
-        return any(
-            isinstance(link.bandwidth, BandwidthTrace) for link in self.links.values()
-        )
+        """True when any link's bandwidth drifts on its own trace (decided at
+        construction: links are immutable afterwards)."""
+        return self._traced
 
     def endpoint_nodes(self, endpoint: str) -> List[str]:
         """The node names an endpoint label resolves to (name or tier alias)."""
@@ -573,8 +576,26 @@ class Topology:
         planned against *its* wires.  When every tier pair is one inherited
         hop — the canonical testbed — the base condition is returned
         unchanged, which keeps the original fixed-shape API bit-identical.
+
+        Without traced links the result does not depend on ``at_s``, so under
+        the topology's own base condition it is memoized per ``source`` (at
+        most one entry per device).  A traced topology, or an explicit
+        ``base`` such as a bandwidth trace's condition at one instant, is
+        computed on every call, so the memo cannot grow with a drifting base.
         """
         base = base or self.base_network
+        if self.has_traced_links or base is not self.base_network:
+            return self._planning_condition(base, at_s, source)
+        condition = self._conditions.get(source)
+        if condition is None:
+            condition = self._conditions[source] = self._planning_condition(
+                base, 0.0, source
+            )
+        return condition
+
+    def _planning_condition(
+        self, base: Optional[NetworkCondition], at_s: float, source: Optional[str]
+    ) -> NetworkCondition:
         reps = {tier: self.primary(tier).name for tier in COMPUTE_TIERS}
         if source is not None:
             node = self.nodes.get(source)

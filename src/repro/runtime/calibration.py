@@ -8,9 +8,10 @@ loop from *observed* timings back into planning, and looks ahead so the
 repartitioner can move before — not after — a drift breaches the band:
 
 ``OnlineCostCalibrator``
-    Exponentially smooths per-(node, layer) compute latencies, per-link and
-    per-tier-pair throughput, and per-model end-to-end latency inflation from
-    the simulator's task/transfer/request observations.  A monotonically
+    Exponentially smooths per-(model, node, layer) and per-(model, tier,
+    layer) compute latencies, per-link and per-tier-pair throughput, and
+    per-model end-to-end latency inflation from the simulator's
+    task/transfer/request observations.  A monotonically
     increasing ``revision`` bumps only when an estimate actually moves
     (beyond ``rel_epsilon``), so :class:`~repro.core.placement.PlanEvaluator`
     can key its memo tables on it and admission control can scale its
@@ -47,8 +48,12 @@ __all__ = [
     "OnlineCostCalibrator",
     "BandwidthForecaster",
     "AdaptationTracker",
+    "NO_MODEL",
     "resolve_calibration",
 ]
+
+#: The model key of layer observations made without naming a model.
+NO_MODEL = ""
 
 
 @dataclass(frozen=True)
@@ -167,9 +172,12 @@ class OnlineCostCalibrator:
     """Learns corrected cost estimates from simulator observations.
 
     Keys mirror what the simulator can actually see: compute tasks carry a
-    ``(node, label)`` pair plus the plan's tier, transfers carry a physical
-    link id and a payload size, and retired requests carry the ratio of
-    achieved to planned latency.  Planning consumes the *tier-pooled* layer
+    ``(model, node, label)`` triple plus the plan's tier, transfers carry a
+    physical link id and a payload size, and retired requests carry the
+    ratio of achieved to planned latency.  The model is part of every layer
+    key because layer labels are only unique within one graph (alexnet and
+    vgg16 both have an ``fc1``); callers that pass no model share the
+    :data:`NO_MODEL` bucket.  Planning consumes the *tier-pooled* layer
     estimates (plans bind stages to tiers before nodes) while the per-node
     table stays queryable for diagnostics and admission control.
     """
@@ -178,8 +186,8 @@ class OnlineCostCalibrator:
         self.config = config or CalibrationConfig()
         self.revision = 0
         self.updates = 0
-        self._node_layer: Dict[Tuple[str, str], EwmaEstimator] = {}
-        self._tier_layer: Dict[Tuple[str, str], EwmaEstimator] = {}
+        self._node_layer: Dict[Tuple[str, str, str], EwmaEstimator] = {}
+        self._tier_layer: Dict[Tuple[str, str, str], EwmaEstimator] = {}
         self._link_mbps: Dict[str, EwmaEstimator] = {}
         self._pair_mbps: Dict[Tuple[str, str], EwmaEstimator] = {}
         self._latency_ratio: Dict[str, EwmaEstimator] = {}
@@ -225,32 +233,44 @@ class OnlineCostCalibrator:
         gate.tick += 1
         return not gate.tick % gate.stride
 
-    def observe_tasks(self, tasks, tier: str) -> None:
-        """One execution unit's compute tasks, as ``(node, duration_s, label,
-        ...)`` tuples (``node`` may be a node object or its name).
+    def observe_tasks(self, tasks, tier: str, model: str = NO_MODEL) -> None:
+        """One batch of ``model``'s compute tasks on ``tier``, as ``(node,
+        duration_s, label, ...)`` tuples (``node`` may be a node object or
+        its name).
 
-        This is the highest-rate observation stream — one call per unit per
-        request, several tasks each — so it is gated per *unit*: when the
-        gate is closed the whole batch costs one increment and one modulo.
+        This is the highest-rate observation stream, so it is gated per
+        *batch*: when the gate is closed the whole batch costs one increment
+        and one modulo.  The serving engine inlines the gate and samples
+        whole requests (one gate tick per request, one batch per unit).
         """
         if self.admit_tasks():
-            self.record_tasks(tasks, tier)
+            self.record_tasks(tasks, tier, model)
 
-    def record_tasks(self, tasks, tier: str) -> None:
-        """Record one admitted unit batch (caller already won ``admit_tasks``)."""
+    def record_tasks(self, tasks, tier: str, model: str = NO_MODEL) -> None:
+        """Record one admitted batch (caller already won ``admit_tasks``)."""
         gate = self.task_gate
         before = self.revision
         node_table, tier_table = self._node_layer, self._tier_layer
         for node, duration_s, label, *_ in tasks:
             if duration_s <= 0.0:
                 continue
-            self._observe(node_table, (getattr(node, "name", node), label), duration_s)
-            self._observe(tier_table, (tier, label), duration_s)
+            self._observe(
+                node_table, (model, getattr(node, "name", node), label), duration_s
+            )
+            self._observe(tier_table, (model, tier, label), duration_s)
         gate.settle(self.revision != before)
 
-    def observe_task(self, node: str, label: str, tier: str, duration_s: float) -> None:
-        """A single compute task of ``label`` ran for ``duration_s`` on ``node``."""
-        self.observe_tasks(((node, duration_s, label),), tier)
+    def observe_task(
+        self,
+        node: str,
+        label: str,
+        tier: str,
+        duration_s: float,
+        model: str = NO_MODEL,
+    ) -> None:
+        """A single compute task of ``model``'s ``label`` ran for
+        ``duration_s`` on ``node``."""
+        self.observe_tasks(((node, duration_s, label),), tier, model)
 
     def _record(self, table: Dict, key, value: float, gate: _AdaptiveGate) -> None:
         """Record one admitted flow-side observation and settle its gate."""
@@ -300,13 +320,18 @@ class OnlineCostCalibrator:
 
     # ------------------------------------------------------------------ #
     # estimate side (consumed by the evaluator / admission control)
-    def layer_seconds(self, label: str, tier: str, default: float) -> float:
-        """Calibrated compute latency of ``label`` on ``tier`` (or ``default``)."""
-        estimator = self._tier_layer.get((getattr(tier, "value", tier), label))
+    def layer_seconds(
+        self, label: str, tier: str, default: float, model: str = NO_MODEL
+    ) -> float:
+        """Calibrated compute latency of ``model``'s ``label`` on ``tier``
+        (or ``default``)."""
+        estimator = self._tier_layer.get((model, getattr(tier, "value", tier), label))
         return estimator.mean if estimator is not None else default
 
-    def node_layer_seconds(self, node: str, label: str, default: float) -> float:
-        estimator = self._node_layer.get((node, label))
+    def node_layer_seconds(
+        self, node: str, label: str, default: float, model: str = NO_MODEL
+    ) -> float:
+        estimator = self._node_layer.get((model, node, label))
         return estimator.mean if estimator is not None else default
 
     def link_mbps(self, link_id: str, default: float) -> float:

@@ -7,7 +7,7 @@ and drained when traffic ebbs.  Three pieces cover it:
 
 * :class:`NodeJoin` / :class:`NodeDrain` — declarative timed elasticity
   events collected in an :class:`ElasticitySchedule` (same JSON round-trip /
-  ``validate_against`` / ``state_at`` contract as a
+  ``validate_against`` / ``state_at`` / ``cursor`` contract as a
   :class:`~repro.network.faults.FaultSchedule`).  A node whose first event is
   a join starts *parked* outside the fleet and accepts work only after its
   provisioning delay elapses; a drain stops new admissions, lets in-flight
@@ -26,9 +26,10 @@ and drained when traffic ebbs.  Three pieces cover it:
 
 The schedule and policies are purely declarative; the serving engine of
 :mod:`repro.runtime.serving` consumes them as simulation events, and the
-planning layer samples :meth:`ElasticitySchedule.state_at` so requests are
-planned against the fleet shape in effect at their arrival (through the same
-masked-fingerprint plan-cache path degraded deployments use).
+planning layer steps one :meth:`ElasticitySchedule.cursor` through the
+arrivals so requests are planned against the fleet shape in effect at their
+arrival (through the same masked-fingerprint plan-cache path degraded
+deployments use).
 """
 
 from __future__ import annotations
@@ -45,13 +46,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
 import numpy as np
 
-from repro.network.faults import TimedSchedule
+from repro.network.faults import ScheduleCursor, TimedSchedule
 
 #: Event kinds an elasticity schedule may contain, in serialization spelling.
 ELASTICITY_KINDS = ("node_join", "node_drain")
@@ -158,6 +158,24 @@ class ElasticitySchedule(TimedSchedule):
             target for target, kind in first_kind.items() if kind == "node_join"
         )
 
+    def cursor(self) -> ScheduleCursor:
+        """A forward cursor whose ``advance(t)`` is ``(inactive_nodes,)``.
+
+        Transitions take effect when they reach the planning view: a join at
+        its ``ready_s``, a drain at its ``time_s``; same-instant transitions
+        apply in schedule order.  Feed it non-decreasing times (a
+        workload's arrivals) to replay the schedule once for a whole stream.
+        """
+        ordered = sorted(
+            (event.ready_s if event.is_join else event.time_s, order)
+            for order, event in enumerate(self.events)
+        )
+        transitions = []
+        for effective_s, order in ordered:
+            event = self.events[order]
+            transitions.append((effective_s, 0, event.target, not event.is_join))
+        return ScheduleCursor(transitions, (self.initially_parked(),))
+
     def state_at(self, time_s: float) -> FrozenSet[str]:
         """Node names *inactive* (parked, provisioning or drained) at ``time_s``.
 
@@ -167,21 +185,7 @@ class ElasticitySchedule(TimedSchedule):
         layer cares about).  Events effective exactly at ``time_s`` are
         already applied, matching :meth:`FaultSchedule.state_at`.
         """
-        inactive = set(self.initially_parked())
-        transitions: List[Tuple[float, int, str, bool]] = []
-        for order, event in enumerate(self.events):
-            if event.is_join:
-                transitions.append((event.ready_s, order, event.target, False))
-            else:
-                transitions.append((event.time_s, order, event.target, True))
-        for effective_s, _, target, down in sorted(transitions):
-            if effective_s > time_s:
-                break
-            if down:
-                inactive.add(target)
-            else:
-                inactive.discard(target)
-        return frozenset(inactive)
+        return self.cursor().advance(time_s)[0]
 
     def validate_against(self, topology) -> None:
         """Check every event targets a compute node the topology declares."""

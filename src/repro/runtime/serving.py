@@ -1723,17 +1723,20 @@ class ServingSimulator:
             # check per request instead of one per unit (the difference is
             # most of the calibrated cell's hot-path budget).  Group-bound
             # stages have no tasks yet (their replica resolves at dispatch)
-            # and simply fall out of the sample.
+            # and simply fall out of the sample.  Estimates are keyed by
+            # model: layer labels repeat across graphs (``fc1``), and a
+            # shared key would swing between models and never settle.
             gate = self._cal_task_gate
             gate.tick += 1
             if not gate.tick % gate.stride:
                 calibration = self.calibration
+                model = state.request.graph.name
                 for unit in state.unit_list:
                     tasks = unit.tasks
                     if tasks:
                         tier = unit.tier
                         calibration.record_tasks(
-                            tasks, getattr(tier, "value", tier)
+                            tasks, getattr(tier, "value", tier), model
                         )
         # A rebuilt attempt re-chooses its replica: the balancer's pick is
         # per attempt, and the failover may exist precisely because the old

@@ -2,6 +2,7 @@
 seeded chaos generation, and the topology failure masking they drive."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.network.faults import (
     FaultEvent,
@@ -106,6 +107,84 @@ class TestFaultSchedule:
             FaultSchedule.from_json("{not json")
         with pytest.raises(FaultScheduleError):
             FaultSchedule.from_json("[1, 2]")
+
+
+def replay(events, time_s):
+    """Reference ``(down_nodes, down_links)``: replay every event up to t."""
+    down_nodes, down_links = set(), set()
+    for event in sorted(events, key=lambda e: e.time_s):
+        if event.time_s > time_s:
+            break
+        targets = down_nodes if event.is_node_event else down_links
+        if event.is_failure:
+            targets.add(event.target)
+        else:
+            targets.discard(event.target)
+    return frozenset(down_nodes), frozenset(down_links)
+
+
+class TestFaultCursor:
+    EVENTS = [
+        NodeDown(1.0, "a"),
+        NodeUp(1.0, "a"),  # same instant: declaration order leaves "a" up
+        LinkDown(1.0, "l"),
+        NodeDown(2.0, "b"),
+        NodeDown(2.0, "b"),  # repeated down: idempotent
+        NodeUp(3.0, "b"),
+        LinkUp(3.0, "l"),
+        NodeUp(3.5, "a"),  # up for a healthy node: a no-op
+        NodeDown(4.0, "c"),
+    ]
+    TIMES = [0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.5, 3.0, 3.5, 4.0, 4.0, 9.0]
+
+    def test_cursor_matches_state_at_at_every_step(self):
+        schedule = FaultSchedule(self.EVENTS)
+        cursor = schedule.cursor()
+        for time_s in self.TIMES:
+            state = cursor.advance(time_s)
+            assert state == schedule.state_at(time_s) == replay(self.EVENTS, time_s)
+
+    def test_unchanged_state_is_the_same_object(self):
+        cursor = FaultSchedule(self.EVENTS).cursor()
+        previous = cursor.advance(self.TIMES[0])
+        for time_s in self.TIMES[1:]:
+            state = cursor.advance(time_s)
+            if state == previous:
+                assert state is previous
+                assert state[0] is previous[0] and state[1] is previous[1]
+            previous = state
+
+    def test_decreasing_time_raises_and_keeps_position(self):
+        cursor = FaultSchedule(self.EVENTS).cursor()
+        at_two = cursor.advance(2.0)
+        with pytest.raises(ValueError):
+            cursor.advance(1.999)
+        assert cursor.advance(2.0) is at_two
+        assert cursor.advance(3.0) == replay(self.EVENTS, 3.0)
+
+    def test_empty_schedule_cursor_is_healthy(self):
+        cursor = FaultSchedule([]).cursor()
+        assert cursor.advance(0.0) == (frozenset(), frozenset())
+        assert cursor.advance(100.0) == (frozenset(), frozenset())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([NodeDown, NodeUp, LinkDown, LinkUp]),
+                st.integers(0, 8).map(lambda t: t / 2),
+                st.sampled_from(["x", "y"]),
+            ),
+            max_size=12,
+        ),
+        st.lists(st.integers(0, 10).map(lambda t: t / 2), min_size=1, max_size=12),
+    )
+    def test_cursor_matches_replay_on_random_schedules(self, raw, times):
+        events = [kind(time_s, target) for kind, time_s, target in raw]
+        schedule = FaultSchedule(events)
+        cursor = schedule.cursor()
+        for time_s in sorted(times):
+            assert cursor.advance(time_s) == replay(events, time_s)
 
 
 class TestChaos:

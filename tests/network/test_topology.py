@@ -226,6 +226,44 @@ class TestRoutingAndPlanning:
         assert before.edge_cloud_mbps == pytest.approx(25.0)
         assert after.edge_cloud_mbps == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("device_mbps", [None, (84.95, 40.0, 10.0)])
+    def test_static_planning_condition_is_memoized_per_source(self, device_mbps):
+        def build():
+            return get_topology("multi_device", device_mbps=device_mbps)
+
+        topology = build()
+        assert not topology.has_traced_links
+        conditions = set()
+        for device in topology.nodes_of_tier("device"):
+            fresh = build().planning_condition(at_s=3.0, source=device.name)
+            memoized = topology.planning_condition(source=device.name)
+            assert memoized == fresh
+            # Time-invariant: any at_s reads the same entry.
+            assert topology.planning_condition(at_s=7.5, source=device.name) is memoized
+            # An explicit base is priced on its own and leaves the entry alone.
+            fourg_base = get_condition("4g")
+            fourg = topology.planning_condition(base=fourg_base, source=device.name)
+            assert fourg == build().planning_condition(base=fourg_base, source=device.name)
+            assert fourg != memoized
+            assert topology.planning_condition(source=device.name) is memoized
+            conditions.add(memoized)
+        if device_mbps is not None:
+            assert len(conditions) == len(device_mbps)  # uplinks differ per source
+        assert topology.planning_condition() == build().planning_condition()
+
+    def test_traced_planning_condition_is_not_memoized(self):
+        topology = _chain_topology(
+            edge_cloud=BandwidthTrace(samples=[(0.0, 25.0), (10.0, 5.0)])
+        )
+        late = topology.planning_condition(at_s=12.0)
+        early = topology.planning_condition(at_s=0.0)
+        assert late.edge_cloud_mbps == pytest.approx(5.0)
+        assert early.edge_cloud_mbps == pytest.approx(25.0)
+        assert topology.planning_condition(at_s=12.0) == late
+        assert topology.has_traced_links is True
+        assert topology.has_traced_links is True  # memoized, still True
+        assert _chain_topology().has_traced_links is False
+
     def test_inherited_link_without_base_raises(self):
         topology = Topology(
             "no-base",

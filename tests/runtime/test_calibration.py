@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.d3 import D3Config, D3System
+from repro.core.placement import Tier
 from repro.network.conditions import BandwidthTrace, get_condition
 from repro.runtime.calibration import (
     AdaptationTracker,
@@ -110,6 +111,59 @@ class TestOnlineCostCalibrator:
         assert cal.node_layer_seconds("edge-1", "conv1", 0.5) == 0.5
         assert cal.link_mbps("edge-0-cloud-0", 100.0) == pytest.approx(8.0)
         assert cal.link_mbps("unseen", 100.0) == 100.0
+
+
+class TestModelKeyedLayerEstimates:
+    """Layer labels repeat across graphs, so estimates are keyed by model."""
+
+    def test_other_models_observations_do_not_move_an_estimate(self):
+        cal = OnlineCostCalibrator()
+        cal.observe_task("edge-0", "fc1", "edge", 0.020, model="vgg16")
+        for _ in range(5):
+            cal.observe_task("edge-0", "fc1", "edge", 0.001, model="alexnet")
+        assert cal.layer_seconds("fc1", "edge", 0.5, model="vgg16") == 0.020
+        assert cal.node_layer_seconds("edge-0", "fc1", 0.5, model="vgg16") == 0.020
+        assert cal.layer_seconds("fc1", "edge", 0.5, model="alexnet") == 0.001
+        # Unnamed observations share one bucket, apart from every model.
+        assert cal.layer_seconds("fc1", "edge", 0.5) == 0.5
+
+    def test_served_estimates_equal_each_models_priced_duration(self):
+        # On wifi with one edge node both models run fc1 on edge-0, so a
+        # model-blind key would mix alexnet's and vgg16's fc1 times.
+        system = D3System(
+            D3Config(
+                network="wifi",
+                num_edge_nodes=1,
+                use_regression=False,
+                profiler_noise_std=0.0,
+            )
+        )
+        workload = Workload.merge(
+            Workload.poisson("alexnet", num_requests=6, rate_rps=4.0, seed=3),
+            Workload.poisson("vgg16", num_requests=6, rate_rps=4.0, seed=4),
+        )
+        calibrator = OnlineCostCalibrator()
+        report = system.serve(workload, calibration=calibrator)
+        assert report.num_completed == report.num_requests
+        edge = system.cluster.edge_nodes[0]
+        for model in ("alexnet", "vgg16"):
+            graph = system.graph_for(model)
+            fc1 = next(vertex for vertex in graph if vertex.name == "fc1")
+            profile = system.build_profile(graph)
+            priced = profile.get(fc1.index, Tier.EDGE) / edge.speed_factor
+            assert calibrator.layer_seconds("fc1", "edge", -1.0, model=model) == priced
+            node_estimate = calibrator.node_layer_seconds(edge.name, "fc1", -1.0, model=model)
+            assert node_estimate == priced
+
+    def test_stationary_estimates_let_the_task_gate_widen(self):
+        # Two models alternating on one label: each keyed estimate is
+        # constant, so admitted batches stop moving anything and the gate
+        # decimates as its docstring promises.
+        cal = OnlineCostCalibrator()
+        for _ in range(200):
+            cal.observe_tasks([("edge-0", 0.001, "fc1")], "edge", "alexnet")
+            cal.observe_tasks([("edge-0", 0.020, "fc1")], "edge", "vgg16")
+        assert cal.task_gate.stride > 1
 
 
 class TestBandwidthForecaster:

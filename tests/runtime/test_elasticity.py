@@ -67,6 +67,27 @@ def compute_events(report, node):
     ]
 
 
+def replay_inactive(events, time_s):
+    """Reference inactive set: every transition effective by ``time_s``."""
+    events = sorted(events, key=lambda e: e.time_s)
+    first_kind = {}
+    for event in events:
+        first_kind.setdefault(event.target, event.kind)
+    inactive = {target for target, kind in first_kind.items() if kind == "node_join"}
+    transitions = sorted(
+        (event.ready_s if event.is_join else event.time_s, order)
+        for order, event in enumerate(events)
+    )
+    for effective_s, order in transitions:
+        if effective_s > time_s:
+            break
+        if events[order].is_join:
+            inactive.discard(events[order].target)
+        else:
+            inactive.add(events[order].target)
+    return frozenset(inactive)
+
+
 # --------------------------------------------------------------------------- #
 # Events and schedules
 # --------------------------------------------------------------------------- #
@@ -123,6 +144,40 @@ class TestElasticitySchedule:
         assert schedule.state_at(2.0) == frozenset({"edge-1"})
         # The re-join brings edge-1 back after its provisioning delay.
         assert schedule.state_at(3.25) == frozenset()
+
+    def test_cursor_matches_state_at_at_every_step(self):
+        # Joins with provisioning delays land on the same instants as drains
+        # and as other joins, so effective order differs from event order.
+        events = [
+            NodeJoin(1.0, "edge-2", provision_s=1.0),  # ready at 2.0
+            NodeDrain(2.0, "edge-1"),  # ties with edge-2's ready time
+            NodeJoin(1.5, "edge-3", provision_s=0.0),  # ready at 1.5
+            NodeJoin(2.5, "edge-1", provision_s=0.5),  # ready at 3.0
+            NodeDrain(3.0, "edge-2"),  # ties with edge-1's ready time
+            NodeJoin(3.0, "edge-3", provision_s=0.5),  # active at 3.5: a no-op
+            NodeDrain(4.0, "edge-3"),
+        ]
+        schedule = ElasticitySchedule(events)
+        cursor = schedule.cursor()
+        times = [0.0, 0.0, 1.0, 1.5, 1.5, 1.9, 2.0, 2.0, 2.5, 3.0, 3.0, 3.5, 4.0, 5.0, 9.0]
+        previous = None
+        for time_s in times:
+            (state,) = cursor.advance(time_s)
+            assert state == schedule.state_at(time_s) == replay_inactive(events, time_s)
+            if previous is not None and state == previous:
+                assert state is previous
+            previous = state
+        assert schedule.state_at(0.0) == frozenset({"edge-2", "edge-3"})
+        assert schedule.state_at(2.0) == frozenset({"edge-1"})
+        assert schedule.state_at(3.0) == frozenset({"edge-2"})
+
+    def test_cursor_rejects_decreasing_time(self):
+        cursor = self.build().cursor()
+        (at_two,) = cursor.advance(2.0)
+        with pytest.raises(ValueError):
+            cursor.advance(1.5)
+        (again,) = cursor.advance(2.0)
+        assert again is at_two == frozenset({"edge-1"})
 
     def test_validate_against_topology(self, system):
         topology = system.cluster.topology
