@@ -114,6 +114,11 @@ class DynamicRepartitioner:
         #: reassignment itself stays analytic (HPA is deterministic and the
         #: calibrated evaluator only changes the reported latencies).
         self.calibration = None
+        #: ``_default_remaining`` per vertex index under ``_remaining_profile``:
+        #: remaining work depends on the profile only (bandwidth drift leaves
+        #: it alone), so the memo lives until the profile object changes.
+        self._remaining_memo: Dict[int, Dict[Tier, float]] = {}
+        self._remaining_profile: Optional[LatencyProfile] = None
         partitioner = self._partitioner(profile, network)
         self.plan = partitioner.partition(graph)
 
@@ -172,6 +177,8 @@ class DynamicRepartitioner:
 
     def _drifted_vertices(self, profile: LatencyProfile) -> List[int]:
         """Vertices whose latency on their assigned tier left the band."""
+        if profile is self.reference_profile:
+            return []  # every ratio is 1.0, inside any band
         drifted = []
         for vertex in self.graph:
             tier = self.plan.tier_of(vertex.index)
@@ -199,8 +206,8 @@ class DynamicRepartitioner:
                 scope.add(successor.index)
                 for sibling in self.graph.sis_vertices(successor.index):
                     scope.add(sibling.index)
-        ordered = [v for v in self.graph.topological_order() if v.index in scope]
-        return ordered
+        # Insertion (= index) order is topological.
+        return [self.graph.vertex(index) for index in sorted(scope)]
 
     def _reassign_locally(
         self,
@@ -209,14 +216,29 @@ class DynamicRepartitioner:
     ) -> List[int]:
         """Recompute the optimal tier of each vertex in ``scope`` in topo order."""
         changed = []
+        cumulative = self.config.lookahead == "cumulative"
         for vertex in scope:
-            if not self.graph.predecessors(vertex.index):
+            if not self.graph.predecessor_indices(vertex.index):
                 continue  # the virtual input vertex stays on the device
-            new_tier = partitioner.optimal_tier(self.graph, self.plan, vertex)
+            remaining = self._remaining_after(partitioner, vertex) if cumulative else None
+            new_tier = partitioner.optimal_tier(self.graph, self.plan, vertex, remaining)
             if new_tier != self.plan.tier_of(vertex.index) and self._move_is_safe(vertex, new_tier):
                 self.plan.assign(vertex.index, new_tier)
                 changed.append(vertex.index)
         return changed
+
+    def _remaining_after(
+        self, partitioner: HorizontalPartitioner, vertex: Vertex
+    ) -> Dict[Tier, float]:
+        """Memoized :meth:`HorizontalPartitioner._default_remaining`."""
+        if partitioner.profile is not self._remaining_profile:
+            self._remaining_profile = partitioner.profile
+            self._remaining_memo = {}
+        remaining = self._remaining_memo.get(vertex.index)
+        if remaining is None:
+            remaining = partitioner._default_remaining(self.graph, vertex)
+            self._remaining_memo[vertex.index] = remaining
+        return dict(remaining)
 
     def _move_is_safe(self, vertex: Vertex, new_tier: Tier) -> bool:
         """Moving a vertex must not violate Proposition 1 for its successors."""
@@ -247,8 +269,10 @@ class DynamicRepartitioner:
         self.current_profile = profile
         self.current_network = network
 
-        evaluator_before = PlanEvaluator(profile, network, calibration=self.calibration)
-        latency_before = evaluator_before.objective(self.plan)
+        # One evaluator prices both plans: its memos are pure functions of
+        # (profile, network, calibration), all fixed for this observation.
+        evaluator = PlanEvaluator(profile, network, calibration=self.calibration)
+        latency_before = evaluator.objective(self.plan)
 
         drifted = self._drifted_vertices(profile)
         bandwidth_drift = self._bandwidth_changed(network) or self._links_changed(
@@ -265,10 +289,11 @@ class DynamicRepartitioner:
         if bandwidth_drift:
             # Bandwidth affects every cut edge: seed the scope with the
             # endpoints of the current cut.
+            cut = self.plan.cut_edges()
             drifted = sorted(
                 set(drifted)
-                | {src.index for src, _ in self.plan.cut_edges()}
-                | {dst.index for _, dst in self.plan.cut_edges()}
+                | {src.index for src, _ in cut}
+                | {dst.index for _, dst in cut}
             )
 
         partitioner = self._partitioner(profile, network)
@@ -276,9 +301,7 @@ class DynamicRepartitioner:
         changed = self._reassign_locally(scope, partitioner)
         self.plan.validate()
 
-        latency_after = PlanEvaluator(
-            profile, network, calibration=self.calibration
-        ).objective(self.plan)
+        latency_after = evaluator.objective(self.plan)
         # Accept the new conditions as the reference going forward.
         self.reference_profile = profile
         self.reference_network = network
@@ -318,7 +341,9 @@ class DynamicRepartitioner:
     def full_repartition(self) -> RepartitionEvent:
         """Re-run HPA from scratch under the current conditions (the baseline
         the paper's local updates are compared against)."""
-        evaluator = PlanEvaluator(self.current_profile, self.current_network)
+        evaluator = PlanEvaluator(
+            self.current_profile, self.current_network, calibration=self.calibration
+        )
         latency_before = evaluator.objective(self.plan)
         partitioner = self._partitioner(self.current_profile, self.current_network)
         old_assignments = dict(self.plan.assignments)

@@ -23,12 +23,20 @@ HPA is a layered greedy heuristic:
 The partitioner exposes its per-vertex decision helpers so that the dynamic
 re-partitioner (:mod:`repro.core.dynamic`) can re-run them locally when runtime
 conditions drift.
+
+Cost of one vertex decision: its inputs, its candidate tiers and its *live
+frontier* (:class:`LiveFrontier`: the assigned producers whose output still
+waits for an unassigned consumer), never the whole graph.  ``partition()``
+keeps the frontier up to date as it assigns vertices, at ``O(deg)`` per
+assignment; the live term is priced once per target tier.  On a complete plan
+— every local update of the dynamic re-partitioner — there is no unassigned
+consumer, so the live term is identically ``0.0`` and costs nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.economics import ObjectiveWeights, TierEconomics
@@ -88,6 +96,59 @@ class HPAConfig:
             raise ValueError(
                 f"lookahead must be one of {LOOKAHEAD_MODES}, got {self.lookahead!r}"
             )
+
+
+class LiveFrontier:
+    """Assigned producers whose output still has an unassigned consumer.
+
+    Producers are kept in the order they were first assigned — the insertion
+    order of ``plan.assignments`` — each with its count of consumer edges not
+    yet assigned.  :meth:`assigned` updates the frontier in ``O(deg)`` for
+    one newly assigned vertex, in any order, so ``partition()`` maintains it
+    incrementally and :meth:`of_plan` rebuilds it for an arbitrary plan.
+    """
+
+    def __init__(self, graph: DnnGraph) -> None:
+        self.graph = graph
+        self._assigned: Set[int] = set()
+        self._pending: Dict[int, int] = {}
+
+    @classmethod
+    def of_plan(cls, graph: DnnGraph, plan: PlacementPlan) -> "LiveFrontier":
+        """The frontier of ``plan``'s current assignments."""
+        frontier = cls(graph)
+        if not plan.is_complete():  # a complete plan has no live tensor
+            for index in plan.assignments:
+                frontier.assigned(index)
+        return frontier
+
+    def assigned(self, index: int) -> None:
+        """Account for the first assignment of vertex ``index``."""
+        assigned, pending = self._assigned, self._pending
+        for pred in self.graph.predecessor_indices(index):
+            if pred in pending:
+                left = pending[pred] - 1
+                if left:
+                    pending[pred] = left
+                else:
+                    del pending[pred]
+        waiting = sum(1 for s in self.graph.successors(index) if s.index not in assigned)
+        if waiting:
+            pending[index] = waiting
+        assigned.add(index)
+
+    def live_for(self, vertex: Vertex) -> List[Vertex]:
+        """The live producers ``vertex``'s decision must account for: the
+        frontier minus ``vertex`` and its own predecessors (whose tensors the
+        input-pull term already charges)."""
+        if not self._pending:
+            return []
+        own = self.graph.predecessor_indices(vertex.index)
+        return [
+            self.graph.vertex(index)
+            for index in self._pending
+            if index not in own and index != vertex.index
+        ]
 
 
 class HorizontalPartitioner:
@@ -250,16 +311,24 @@ class HorizontalPartitioner:
         vertex: Vertex,
         candidates: Sequence[Tier],
         remaining: Dict[Tier, float],
+        frontier: Optional[LiveFrontier] = None,
     ) -> Tier:
         """Cumulative look-ahead: joint evaluation with the remaining network.
 
         ``remaining[t]`` is the total processing time on tier ``t`` of every
         vertex that has not been assigned yet (excluding ``vertex`` itself).
         The pair ``(l_i, l_j)`` is charged ``v_i`` on ``l_i``, the transfer of
-        ``v_i``'s output from ``l_i`` to ``l_j`` and the whole remainder on
-        ``l_j``; this lets a single expensive transfer be amortised over every
-        downstream layer instead of only the largest direct successor.
+        ``v_i``'s output from ``l_i`` to ``l_j``, the whole remainder on
+        ``l_j`` and the live tensors' move to ``l_j``; this lets a single
+        expensive transfer be amortised over every downstream layer instead
+        of only the largest direct successor.  ``frontier`` is the caller's
+        up-to-date :class:`LiveFrontier` (rebuilt from ``plan`` when absent).
         """
+        if frontier is None:
+            frontier = LiveFrontier.of_plan(graph, plan)
+        live = frontier.live_for(vertex)
+        # Every l_j of the admissible pairs is itself a candidate.
+        live_cost = {tier: self._live_tensor_transfer(plan, live, tier) for tier in candidates}
         best_tier = candidates[0]
         best_cost = float("inf")
         for tier_i in candidates:
@@ -270,7 +339,7 @@ class HorizontalPartitioner:
                     + pull
                     + self.transfer_latency(vertex.output_bytes, tier_i, tier_j)
                     + remaining.get(tier_j, 0.0)
-                    + self._live_tensor_transfer(graph, plan, vertex, tier_j)
+                    + live_cost[tier_j]
                 )
                 if cost < best_cost:
                     best_cost = cost
@@ -278,7 +347,7 @@ class HorizontalPartitioner:
         return best_tier
 
     def _live_tensor_transfer(
-        self, graph: DnnGraph, plan: PlacementPlan, vertex: Vertex, target: Tier
+        self, plan: PlacementPlan, live: Sequence[Vertex], target: Tier
     ) -> float:
         """Cost of moving every *live* tensor to ``target``.
 
@@ -289,33 +358,31 @@ class HorizontalPartitioner:
         so the cumulative look-ahead charges them up front — without this term
         the look-ahead happily jumps to the cloud in the middle of a residual
         stage and is then surprised by the skip-connection transfer.
-        ``vertex``'s own inputs are excluded (they are charged via the pull
-        term).
+
+        ``live`` is :meth:`LiveFrontier.live_for` of the deciding vertex (its
+        own inputs are excluded: the pull term charges them), computed once
+        per decision, so one call costs ``O(|live|)`` — not the
+        ``O(|V|·deg)`` scan of the whole assignment table.  The sum runs in
+        ``plan.assignments`` insertion order.  On a complete plan nothing is
+        live and the term is identically ``0.0``.
         """
-        pred_indices = {p.index for p in graph.predecessors(vertex.index)}
         total = 0.0
-        for index, tier in plan.assignments.items():
-            if index in pred_indices or index == vertex.index:
-                continue
-            has_unassigned_consumer = any(
-                s.index not in plan.assignments and s.index != vertex.index
-                for s in graph.successors(index)
+        for producer in live:
+            total += self.transfer_latency(
+                producer.output_bytes, plan.assignments[producer.index], target
             )
-            if has_unassigned_consumer:
-                producer = graph.vertex(index)
-                total += self.transfer_latency(producer.output_bytes, tier, target)
         return total
 
     def _default_remaining(self, graph: DnnGraph, vertex: Vertex) -> Dict[Tier, float]:
         """Remaining-work estimate when no explicit bookkeeping is available.
 
         Used by the dynamic local updates: every vertex added after ``vertex``
-        (insertion order is topological) counts as "remaining".
+        (insertion order is topological) counts as "remaining".  It costs
+        ``O(|V|)``; :class:`~repro.core.dynamic.DynamicRepartitioner` memoizes
+        it per profile.
         """
         remaining = {tier: 0.0 for tier in TIER_ORDER}
-        for other in graph:
-            if other.index <= vertex.index:
-                continue
+        for other in graph.vertices[vertex.index + 1 :]:
             for tier in TIER_ORDER:
                 remaining[tier] += self.vertex_latency(other, tier)
         return remaining
@@ -326,8 +393,14 @@ class HorizontalPartitioner:
         plan: PlacementPlan,
         vertex: Vertex,
         remaining: Optional[Dict[Tier, float]] = None,
+        frontier: Optional[LiveFrontier] = None,
     ) -> Tier:
-        """``get_opt_loc``: the full per-vertex decision of Algorithm 1."""
+        """``get_opt_loc``: the full per-vertex decision of Algorithm 1.
+
+        ``remaining`` and ``frontier`` are the caller's bookkeeping for the
+        cumulative look-ahead; each is derived from the graph and ``plan``
+        when absent.
+        """
         candidates = self.potential_tiers(graph, plan, vertex)
         if candidates == [Tier.CLOUD]:
             return Tier.CLOUD
@@ -346,7 +419,9 @@ class HorizontalPartitioner:
             return self.lookahead_optimal_tier(graph, plan, vertex, successor, candidates)
         if remaining is None:
             remaining = self._default_remaining(graph, vertex)
-        return self.cumulative_optimal_tier(graph, plan, vertex, candidates, remaining)
+        return self.cumulative_optimal_tier(
+            graph, plan, vertex, candidates, remaining, frontier
+        )
 
     # ------------------------------------------------------------------ #
     # SIS update (Algorithm 1 line 13)
@@ -390,6 +465,7 @@ class HorizontalPartitioner:
     def partition(self, graph: DnnGraph) -> PlacementPlan:
         """Run Algorithm 1 and return a validated three-way placement plan."""
         plan = PlacementPlan(graph)
+        frontier = LiveFrontier(graph)
         # Remaining processing time per tier over all still-unassigned vertices
         # (used by the cumulative look-ahead).
         remaining: Dict[Tier, float] = {
@@ -399,14 +475,15 @@ class HorizontalPartitioner:
             for vertex in layer:
                 for tier in TIER_ORDER:
                     remaining[tier] -= self.vertex_latency(vertex, tier)
-                if not graph.predecessors(vertex.index):
+                if not graph.predecessor_indices(vertex.index):
                     # The virtual input vertex: l^opt_0 = device.
-                    plan.assign(vertex.index, Tier.DEVICE)
-                    continue
-                plan.assign(
-                    vertex.index,
-                    self.optimal_tier(graph, plan, vertex, remaining=dict(remaining)),
-                )
+                    tier = Tier.DEVICE
+                else:
+                    tier = self.optimal_tier(
+                        graph, plan, vertex, remaining=dict(remaining), frontier=frontier
+                    )
+                plan.assign(vertex.index, tier)
+                frontier.assigned(vertex.index)
             if self.config.enable_sis_update:
                 self.sis_update(graph, plan, layer)
         plan.validate()

@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core->runtime impo
     from repro.core.economics import ObjectiveWeights, TierEconomics
     from repro.runtime.calibration import OnlineCostCalibrator
 from repro.network.conditions import NetworkCondition
+from repro.profiling.hardware import batch_cost_s
 from repro.profiling.profiler import LatencyProfile
 
 
@@ -40,7 +41,7 @@ class Tier(str, Enum):
     @property
     def position(self) -> int:
         """Position along the data flow: device=0, edge=1, cloud=2."""
-        return TIER_ORDER.index(self)
+        return _TIER_POSITION[self]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -51,6 +52,10 @@ class Tier(str, Enum):
 #: "further along the inference pipeline".
 TIER_ORDER: Tuple[Tier, Tier, Tier] = (Tier.DEVICE, Tier.EDGE, Tier.CLOUD)
 
+#: ``Tier.position`` as a constant table (the planners ask for it in their
+#: innermost loops).
+_TIER_POSITION: Dict[Tier, int] = {tier: i for i, tier in enumerate(TIER_ORDER)}
+
 
 def tiers_at_or_after(tier: Tier) -> List[Tier]:
     """Tiers reachable from ``tier`` without moving data backwards.
@@ -58,7 +63,7 @@ def tiers_at_or_after(tier: Tier) -> List[Tier]:
     This is ``get_loc_choice`` of Algorithm 1: if the latest predecessor tier
     is ``edge`` the potential tiers are ``{edge, cloud}``.
     """
-    return [t for t in TIER_ORDER if t.position >= tier.position]
+    return list(TIER_ORDER[tier.position :])
 
 
 def latest_tier(tiers: Iterable[Tier]) -> Tier:
@@ -89,6 +94,10 @@ class PlacementError(ValueError):
     """Raised when a placement plan is structurally invalid."""
 
 
+def _unassigned(vertex_index: int) -> PlacementError:
+    return PlacementError(f"vertex {vertex_index} has no tier assignment")
+
+
 @dataclass
 class PlacementPlan:
     """Assignment of every DNN vertex to a computing tier."""
@@ -102,7 +111,7 @@ class PlacementPlan:
 
     def tier_of(self, vertex_index: int) -> Tier:
         if vertex_index not in self.assignments:
-            raise PlacementError(f"vertex {vertex_index} has no tier assignment")
+            raise _unassigned(vertex_index)
         return self.assignments[vertex_index]
 
     def vertices_on(self, tier: Tier) -> List[Vertex]:
@@ -131,10 +140,9 @@ class PlacementPlan:
     # ------------------------------------------------------------------ #
     def cut_edges(self) -> List[Tuple[Vertex, Vertex]]:
         """Directed links whose endpoints sit on different tiers."""
+        tiers = self.tiers_by_index()
         return [
-            (src, dst)
-            for src, dst in self.graph.edges()
-            if self.tier_of(src.index) != self.tier_of(dst.index)
+            (src, dst) for src, dst in self.graph.edges() if tiers[src.index] != tiers[dst.index]
         ]
 
     def validate(self) -> None:
@@ -150,16 +158,30 @@ class PlacementPlan:
         if not self.is_complete():
             missing = [v.name for v in self.graph if v.index not in self.assignments]
             raise PlacementError(f"unassigned vertices: {missing}")
-        for vertex in self.graph:
-            preds = self.graph.predecessors(vertex.index)
+        graph = self.graph
+        assignments = self.assignments
+        for vertex in graph:
+            preds = graph.predecessor_indices(vertex.index)
             if not preds:
                 continue
-            bound = earliest_tier(self.tier_of(p.index) for p in preds)
-            if self.tier_of(vertex.index).position < bound.position:
+            try:
+                bound = min(_TIER_POSITION[assignments[p]] for p in preds)
+                tier = assignments[vertex.index]
+            except KeyError as missing:
+                raise _unassigned(missing.args[0]) from None
+            if _TIER_POSITION[tier] < bound:
                 raise PlacementError(
-                    f"vertex {vertex.name!r} on {self.tier_of(vertex.index)} violates "
-                    f"Proposition 1 (earliest predecessor tier is {bound})"
+                    f"vertex {vertex.name!r} on {tier} violates "
+                    f"Proposition 1 (earliest predecessor tier is {TIER_ORDER[bound]})"
                 )
+
+    def tiers_by_index(self) -> List[Tier]:
+        """Every vertex's tier, indexed by vertex index (one table read each)."""
+        assignments = self.assignments
+        try:
+            return [assignments[vertex.index] for vertex in self.graph]
+        except KeyError as missing:
+            raise _unassigned(missing.args[0]) from None
 
     def describe(self) -> str:
         """Short human-readable description of the split."""
@@ -321,8 +343,6 @@ class PlanEvaluator:
         is charged an equal share.  ``batch_size=1`` reduces exactly to
         :meth:`vertex_latency`, so unbatched planning is unchanged.
         """
-        from repro.profiling.hardware import batch_cost_s
-
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         solo = self.vertex_latency(vertex, tier)
@@ -348,18 +368,15 @@ class PlanEvaluator:
         """
         exponents = dict(tier_exponents or {})
         graph = plan.graph
+        tiers = plan.tiers_by_index()
+        batched = self.batched_vertex_latency
         compute = sum(
-            self.batched_vertex_latency(
-                vertex,
-                plan.tier_of(vertex.index),
-                batch_size,
-                exponents.get(plan.tier_of(vertex.index), 0.85),
-            )
-            for vertex in graph
+            batched(vertex, tier, batch_size, exponents.get(tier, 0.85))
+            for vertex, tier in zip(graph, tiers)
         )
+        edge = self.edge_latency
         transfer = sum(
-            self.edge_latency(src, plan.tier_of(src.index), plan.tier_of(dst.index))
-            for src, dst in graph.edges()
+            edge(src, tiers[src.index], tiers[dst.index]) for src, dst in graph.edges()
         )
         return compute + transfer
 

@@ -88,8 +88,11 @@ class DnnGraph:
         self.name = name
         self._vertices: List[Vertex] = []
         self._by_name: Dict[str, int] = {}
-        self._preds: Dict[int, List[int]] = {}
+        self._preds: Dict[int, Tuple[int, ...]] = {}
         self._succs: Dict[int, List[int]] = {}
+        # Derived-structure memos, dropped by ``add_vertex``.
+        self._sis_memo: Dict[int, List[Vertex]] = {}
+        self._edges_memo: Optional[List[Tuple[Vertex, Vertex]]] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -130,10 +133,12 @@ class DnnGraph:
         )
         self._vertices.append(vertex)
         self._by_name[name] = index
-        self._preds[index] = list(input_indices)
+        self._preds[index] = tuple(input_indices)
         self._succs[index] = []
         for parent in input_indices:
             self._succs[parent].append(index)
+        self._sis_memo.clear()
+        self._edges_memo = None
         return vertex
 
     def _resolve(self, name_or_index) -> int:
@@ -180,6 +185,10 @@ class DnnGraph:
         index = self._resolve(name_or_index)
         return [self._vertices[i] for i in self._preds[index]]
 
+    def predecessor_indices(self, index: int) -> Tuple[int, ...]:
+        """Indices of a vertex's direct predecessors (by index, no lookup)."""
+        return self._preds[index]
+
     def successors(self, name_or_index) -> List[Vertex]:
         """Return the direct successors of a vertex."""
         index = self._resolve(name_or_index)
@@ -187,11 +196,14 @@ class DnnGraph:
 
     def edges(self) -> List[Tuple[Vertex, Vertex]]:
         """Return all directed links ``(v_i, v_j)`` of the graph."""
-        result = []
-        for src, dests in self._succs.items():
-            for dst in dests:
-                result.append((self._vertices[src], self._vertices[dst]))
-        return result
+        if self._edges_memo is None:
+            vertices = self._vertices
+            self._edges_memo = [
+                (vertices[src], vertices[dst])
+                for src, dests in self._succs.items()
+                for dst in dests
+            ]
+        return list(self._edges_memo)
 
     @property
     def num_edges(self) -> int:
@@ -253,9 +265,16 @@ class DnnGraph:
         """Subset-input-sibling (SIS) vertices of a vertex.
 
         ``v_j`` is a SIS vertex of ``v_i`` when ``V^p_j ⊂ V^p_i`` (a strict,
-        non-empty subset of ``v_i``'s direct predecessors).
+        non-empty subset of ``v_i``'s direct predecessors).  The relation is
+        memoized per vertex until the graph grows.
         """
         index = self._resolve(name_or_index)
+        memo = self._sis_memo.get(index)
+        if memo is None:
+            memo = self._sis_memo[index] = self._compute_sis(index)
+        return list(memo)
+
+    def _compute_sis(self, index: int) -> List[Vertex]:
         my_preds: Set[int] = set(self._preds[index])
         if not my_preds:
             return []

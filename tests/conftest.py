@@ -82,6 +82,21 @@ def resnet_profile(resnet18, cluster_one_edge, clean_profiler):
     )
 
 
+@pytest.fixture(scope="session")
+def zoo_profiles(cluster_one_edge, clean_profiler):
+    """Full-size zoo models with noise-free profiles: name -> (graph, profile)."""
+    profiles = {}
+    for name in ("alexnet", "resnet18", "vgg16", "darknet53", "inception_v4"):
+        graph = build_model(name)
+        profiles[name] = (
+            graph,
+            clean_profiler.build_profile_from_measurements(
+                graph, cluster_one_edge.tier_hardware(), repeats=1
+            ),
+        )
+    return profiles
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

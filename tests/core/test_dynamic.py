@@ -2,9 +2,12 @@
 
 import pytest
 
+from hpa_reference import BACKBONE_CYCLE, MODELS, ReferencePartitioner, ReferenceRepartitioner
 from repro.core.dynamic import DynamicRepartitioner, RepartitionThresholds
-from repro.core.placement import Tier
+from repro.core.hpa import LOOKAHEAD_MODES, HPAConfig
+from repro.core.placement import PlanEvaluator, Tier
 from repro.network.conditions import get_condition
+from repro.runtime.calibration import OnlineCostCalibrator
 
 
 class TestThresholds:
@@ -17,6 +20,11 @@ class TestThresholds:
         thresholds = RepartitionThresholds(lower=0.8, upper=1.25)
         assert thresholds.exceeded(100.0, 130.0)
         assert thresholds.exceeded(100.0, 70.0)
+
+    def test_zero_reference_breaches_on_any_positive_value(self):
+        thresholds = RepartitionThresholds()
+        assert thresholds.exceeded(0.0, 1e-9)
+        assert not thresholds.exceeded(0.0, 0.0)
 
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
@@ -61,6 +69,10 @@ class TestDynamicRepartitioner:
         event = repartitioner.observe(profile=resnet_profile.scaled(Tier.DEVICE, 5.0))
         assert event.triggered
         assert event.reevaluated_vertices < len(resnet18)
+
+    def test_forecast_breach_follows_the_band(self, repartitioner, wifi):
+        assert not repartitioner.forecast_breach(wifi.scaled_backbone(1.1))
+        assert repartitioner.forecast_breach(wifi.scaled_backbone(0.3))
 
     def test_full_repartition_reevaluates_everything(self, repartitioner):
         event = repartitioner.full_repartition()
@@ -153,3 +165,93 @@ class TestPerLinkDrift:
         repartitioner = DynamicRepartitioner(alexnet, alexnet_profile, wifi)
         assert not repartitioner.observe_topology(before).triggered  # seed
         assert repartitioner.observe_topology(after).triggered
+
+
+class TestLocalUpdateDifferential:
+    """Local updates against the memo-free, full-scan reference."""
+
+    @staticmethod
+    def _assert_same(event, expected):
+        assert event.triggered == expected.triggered
+        assert event.changed_vertices == expected.changed_vertices
+        assert event.reevaluated_vertices == expected.reevaluated_vertices
+        assert event.latency_before_s == expected.latency_before_s
+        assert event.latency_after_s == expected.latency_after_s
+        assert event.plan.signature() == expected.plan.signature()
+
+    @pytest.mark.parametrize("mode", LOOKAHEAD_MODES)
+    @pytest.mark.parametrize("model", MODELS)
+    def test_backbone_cycle_matches_reference(self, model, mode, zoo_profiles, wifi):
+        graph, profile = zoo_profiles[model]
+        config = HPAConfig(lookahead=mode)
+        repartitioner = DynamicRepartitioner(graph, profile, wifi, config=config)
+        reference = ReferenceRepartitioner(graph, profile, wifi, config=config)
+        triggered = 0
+        for _ in range(2):
+            for multiplier in BACKBONE_CYCLE:
+                network = wifi.scaled_backbone(multiplier)
+                event = repartitioner.observe(network=network)
+                self._assert_same(event, reference.observe(network=network))
+                triggered += event.triggered
+        assert triggered >= len(BACKBONE_CYCLE)
+
+    @pytest.mark.parametrize("model", ["resnet18", "inception_v4"])
+    def test_profile_drift_matches_reference(self, model, zoo_profiles, wifi):
+        """Profile changes drop the remaining-work memo; events stay exact."""
+        graph, profile = zoo_profiles[model]
+        repartitioner = DynamicRepartitioner(graph, profile, wifi)
+        reference = ReferenceRepartitioner(graph, profile, wifi)
+        steps = [
+            (profile.scaled(Tier.EDGE, 4.0), wifi),
+            (None, wifi.scaled_backbone(0.25)),
+            (profile.scaled(Tier.DEVICE, 0.2), None),
+            (profile, wifi.scaled_backbone(4.0)),
+        ]
+        for new_profile, network in steps:
+            event = repartitioner.observe(profile=new_profile, network=network)
+            self._assert_same(event, reference.observe(profile=new_profile, network=network))
+
+    def test_remaining_memo_follows_the_profile(self, resnet18, resnet_profile, wifi):
+        repartitioner = DynamicRepartitioner(resnet18, resnet_profile, wifi)
+        vertex = resnet18.vertex(5)
+        for profile in (resnet_profile, resnet_profile.scaled(Tier.CLOUD, 3.0)):
+            partitioner = repartitioner._partitioner(profile, wifi)
+            expected = ReferencePartitioner(profile, wifi)._default_remaining(resnet18, vertex)
+            first = repartitioner._remaining_after(partitioner, vertex)
+            assert first == expected
+            first[Tier.CLOUD] = -1.0  # callers get a copy, never the memo
+            assert repartitioner._remaining_after(partitioner, vertex) == expected
+
+    def test_unchanged_profile_is_not_scanned(self, repartitioner_on_alexnet):
+        repartitioner = repartitioner_on_alexnet
+        repartitioner.plan = None  # a scan would need the plan
+        assert repartitioner._drifted_vertices(repartitioner.reference_profile) == []
+
+    def test_equal_profile_copy_finds_no_drift(self, alexnet, alexnet_profile, wifi):
+        repartitioner = DynamicRepartitioner(alexnet, alexnet_profile, wifi)
+        assert repartitioner._drifted_vertices(alexnet_profile.scaled(Tier.EDGE, 1.0)) == []
+
+    @pytest.fixture()
+    def repartitioner_on_alexnet(self, alexnet, alexnet_profile, wifi):
+        return DynamicRepartitioner(alexnet, alexnet_profile, wifi)
+
+
+class TestCalibratedPricing:
+    def test_full_repartition_prices_with_the_calibration(self, resnet18, resnet_profile, wifi):
+        """Local and full adaptations report latencies under one cost model."""
+        calibration = OnlineCostCalibrator()
+        for vertex in resnet18:
+            for tier in Tier:
+                skewed = 7.0 * resnet_profile.get(vertex.index, tier) + 1e-3
+                calibration.record_tasks(
+                    [("node", skewed, vertex.name)], tier.value, resnet_profile.model_name
+                )
+        repartitioner = DynamicRepartitioner(resnet18, resnet_profile, wifi)
+        repartitioner.calibration = calibration
+        before = repartitioner.plan.copy()
+        event = repartitioner.full_repartition()
+        calibrated = PlanEvaluator(resnet_profile, wifi, calibration=calibration)
+        analytic = PlanEvaluator(resnet_profile, wifi)
+        assert event.latency_before_s == calibrated.objective(before)
+        assert event.latency_after_s == calibrated.objective(event.plan)
+        assert event.latency_before_s != analytic.objective(before)

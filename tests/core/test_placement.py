@@ -83,12 +83,37 @@ class TestPlacementPlan:
         plan = PlacementPlan.single_tier(alexnet, Tier.EDGE)
         assert "edge=" in plan.describe()
 
+    def test_validation_messages(self, resnet18):
+        plan = PlacementPlan.single_tier(resnet18, Tier.EDGE)
+        add = resnet18.vertex("layer1_block1_add")
+        plan.assign(add.index, Tier.DEVICE)
+        with pytest.raises(PlacementError, match=(
+            r"^vertex 'layer1_block1_add' on device violates Proposition 1 "
+            r"\(earliest predecessor tier is edge\)$"
+        )):
+            plan.validate()
+        # A full-size table with a stray key: the first gap read is named.
+        for missing in (3, 0):
+            plan = PlacementPlan.single_tier(resnet18, Tier.CLOUD)
+            del plan.assignments[missing]
+            plan.assignments[999] = Tier.EDGE
+            with pytest.raises(PlacementError, match=f"^vertex {missing} has no tier assignment$"):
+                plan.validate()
+        with pytest.raises(PlacementError, match=r"^unassigned vertices: \['conv1', "):
+            PlacementPlan.from_mapping(resnet18, {0: Tier.DEVICE}).validate()
+
     def test_tier_of_unassigned_raises(self, alexnet):
         with pytest.raises(PlacementError):
             PlacementPlan(alexnet).tier_of(3)
 
 
 class TestPlanEvaluator:
+    def test_objective_of_incomplete_plan_names_the_gap(self, alexnet, alexnet_profile, wifi):
+        plan = PlacementPlan.single_tier(alexnet, Tier.EDGE)
+        del plan.assignments[4]
+        with pytest.raises(PlacementError, match="^vertex 4 has no tier assignment$"):
+            PlanEvaluator(alexnet_profile, wifi).objective(plan)
+
     def test_device_only_has_no_transfer(self, alexnet, alexnet_profile, wifi):
         evaluator = PlanEvaluator(alexnet_profile, wifi)
         metrics = evaluator.metrics(PlacementPlan.single_tier(alexnet, Tier.DEVICE))

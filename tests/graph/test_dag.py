@@ -131,6 +131,41 @@ class TestAnalytics:
         assert "v6" in sis_of_v5
         assert "v7" not in sis_of_v5
 
+    def test_predecessor_indices(self):
+        graph = build_diamond()
+        concat = graph.vertex("concat")
+        assert graph.predecessor_indices(concat.index) == tuple(
+            p.index for p in graph.predecessors(concat.index)
+        )
+        assert graph.predecessor_indices(0) == ()
+
+    def test_memos_are_invalidated_by_add_vertex(self):
+        builder = GraphBuilder("grow", input_shape=(3, 8, 8))
+        builder.conv("v1", 4, kernel=1, padding=0)
+        builder.conv("v2", 4, kernel=1, padding=0, inputs=["input"])
+        builder.concat("v3", inputs=["v1", "v2"])
+        graph = builder.graph
+        assert graph.sis_vertices("v3") == []
+        edges_before = graph.edges()
+        builder.relu("v4", inputs=["v1"])
+        sis = graph.sis_vertices("v3")
+        assert [v.name for v in sis] == ["v4"]
+        edges_after = graph.edges()
+        assert len(edges_after) == len(edges_before) + 1
+        assert ("v1", "v4") in {(src.name, dst.name) for src, dst in edges_after}
+
+    def test_memoized_results_are_fresh_lists(self):
+        builder = GraphBuilder("fresh", input_shape=(3, 8, 8))
+        builder.conv("v1", 4, kernel=1, padding=0)
+        builder.conv("v2", 4, kernel=1, padding=0, inputs=["input"])
+        builder.concat("v3", inputs=["v1", "v2"])
+        builder.relu("v4", inputs=["v1"])
+        graph = builder.graph
+        graph.edges().clear()
+        assert len(graph.edges()) == graph.num_edges
+        graph.sis_vertices("v3").clear()
+        assert [v.name for v in graph.sis_vertices("v3")] == ["v4"]
+
     def test_totals(self, alexnet):
         assert alexnet.total_flops() > 1e9
         assert alexnet.total_weights() > 50e6
