@@ -467,12 +467,13 @@ class D3System:
             ``records`` and ``batches`` are empty, and the retained latency
             sample stops growing at the accumulators' threshold.  This
             bounds what the run keeps per *finished* request only: the
-            workload is still planned into one request object per arrival
-            and every arrival is queued before the run starts, so memory
-            still grows with the number of requests.  Every report aggregate
-            reads the same online accumulators in both modes; the only
-            difference is that percentiles are exact up to the accumulators'
-            threshold and reservoir-estimated above it.
+            workload is still planned into one request object per arrival,
+            so memory still grows with the number of requests (the engine
+            itself holds only the next arrival and the requests in flight).
+            Every report aggregate reads the same online accumulators in
+            both modes; the only difference is that percentiles are exact
+            up to the accumulators' threshold and reservoir-estimated above
+            it.
         elasticity:
             Optional capacity scenario: an
             :class:`~repro.runtime.elasticity.ElasticitySchedule` of

@@ -64,7 +64,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.placement import PlacementPlan, Tier
 from repro.core.vsm import FusedRunPlan, VSMPlan
@@ -94,7 +94,7 @@ from repro.runtime.scheduler import (
     Scheduler,
     resolve_scheduler,
 )
-from repro.runtime.simulator import EventRow, ExecutionReport, TransferRow
+from repro.runtime.record_log import RecordLog, RequestRecord
 
 #: Link contention models understood by the engine.
 LINK_CONTENTION_MODES = ("fifo", "none")
@@ -141,61 +141,6 @@ class ServingRequest:
     ideal_latency_s: Optional[float] = None
 
 
-@dataclass
-class RequestRecord:
-    """Outcome of one request under the serving engine."""
-
-    request_id: Optional[str]
-    model: str
-    arrival_s: float
-    completion_s: float
-    report: ExecutionReport
-    #: Latency of the same plan on an idle cluster, copied from the request
-    #: for clean completions (completed, no retries); ``None`` otherwise or
-    #: when unknown.
-    ideal_latency_s: Optional[float] = None
-    #: Terminal outcome: ``"completed"``, ``"failed"`` (retry budget
-    #: exhausted / source device lost / degraded deployment unservable) or
-    #: ``"rejected"`` (shed at arrival by SLO admission control).
-    status: str = "completed"
-    #: Failover attempts this request consumed (0 on an undisturbed run).
-    retries: int = 0
-    #: The request's latency SLO in milliseconds (``None`` = best-effort).
-    slo_ms: Optional[float] = None
-    #: The request's priority class (0 = most important).
-    priority: int = 0
-
-    @property
-    def completed(self) -> bool:
-        return self.status == "completed"
-
-    @property
-    def rejected(self) -> bool:
-        return self.status == "rejected"
-
-    @property
-    def met_slo(self) -> bool:
-        """Completed within the SLO (best-effort requests count when served)."""
-        if not self.completed:
-            return False
-        if self.slo_ms is None:
-            return True
-        return self.latency_s <= self.slo_ms / 1e3 + 1e-12
-
-    @property
-    def latency_s(self) -> float:
-        """Arrival-to-completion for completed requests; time-to-failure
-        otherwise."""
-        return self.completion_s - self.arrival_s
-
-    @property
-    def queueing_delay_s(self) -> Optional[float]:
-        """Extra latency caused by contention, relative to an idle cluster."""
-        if self.ideal_latency_s is None:
-            return None
-        return self.latency_s - self.ideal_latency_s
-
-
 @dataclass(frozen=True)
 class BatchRecord:
     """One micro-batch dispatch (size > 1) the engine executed."""
@@ -220,7 +165,7 @@ class ServingReport:
     """Aggregate result of serving a workload on one cluster."""
 
     workload_name: str
-    records: List[RequestRecord] = field(default_factory=list)
+    records: Sequence[RequestRecord] = field(default_factory=list)
     makespan_s: float = 0.0
     node_busy_s: Dict[str, float] = field(default_factory=dict)
     link_busy_s: Dict[str, float] = field(default_factory=dict)
@@ -837,8 +782,7 @@ class _RequestState:
 
     __slots__ = (
         "request",
-        "events",
-        "transfers",
+        "slot",
         "unit_list",
         "remaining_units",
         "completion_s",
@@ -858,15 +802,11 @@ class _RequestState:
         "memory_waiting",
     )
 
-    def __init__(
-        self, request: ServingRequest, source_node: ComputeNode, timeline: bool = True
-    ) -> None:
+    def __init__(self, request: ServingRequest, source_node: ComputeNode, slot: int) -> None:
         self.request = request
-        #: Per-request timeline as flat rows (see
-        #: :meth:`ExecutionReport.from_rows`); ``None`` under
-        #: ``stream_stats``, where no timeline is kept.
-        self.events: Optional[List[EventRow]] = [] if timeline else None
-        self.transfers: Optional[List[TransferRow]] = [] if timeline else None
+        #: Arrival position in the run: keys the request's rows in the run's
+        #: :class:`~repro.runtime.record_log.RecordLog`.
+        self.slot = slot
         self.unit_list: List[_Unit] = []
         self.remaining_units = 0
         self.completion_s = 0.0
@@ -1008,9 +948,11 @@ class _NodeState:
         #: event carrying a stale id was cancelled by a node failure.
         self.run_id = 0
         #: ``(members, end_s)`` of the running dispatch, where ``members`` is
-        #: one ``(task, event rows, row index)`` per batch member, kept so a
-        #: node death can truncate every member's timeline row.
-        self.current: Optional[Tuple[List[Tuple[_Task, list, int]], float]] = None
+        #: one ``(task, record log, event position)`` per batch member, kept
+        #: so a node death can truncate every member's timeline row.
+        self.current: Optional[
+            Tuple[List[Tuple[_Task, Optional[RecordLog], int]], float]
+        ] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -1172,15 +1114,16 @@ class ServingSimulator:
         self._live: Dict[_RequestState, None] = {}
         #: Requests that have not reached a terminal state yet.
         self._open = 0
-        #: Whether this run keeps per-request timelines and records.
-        self._timelines = not self.stream_stats
+        #: The run's timelines and outcomes; ``None`` under ``stream_stats``.
+        #: Always a fresh log, so records an earlier run returned survive.
+        self._log: Optional[RecordLog] = None if self.stream_stats else RecordLog()
+        #: Arrivals so far: the next request's slot in the log.
+        self._arrived = 0
         #: The run's aggregates, fed by :meth:`_retire`.  Percentiles stay
         #: exact while records are kept (they already cost O(requests)).
         self._stats = ServingStats(
             DEFAULT_EXACT_THRESHOLD if self.stream_stats else math.inf
         )
-        #: ``(request index, record)`` per retired request (timelines only).
-        self._records: List[Tuple[int, RequestRecord]] = []
         #: Compiled stage templates keyed by the identities of the plan
         #: objects (plus source and the live-node signature); all requests
         #: of a stream share the plan-cache objects, so compilation is paid
@@ -1259,14 +1202,16 @@ class ServingSimulator:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def run(self, requests: List[ServingRequest]) -> List[RequestRecord]:
+    def run(self, requests: List[ServingRequest]) -> Sequence[RequestRecord]:
         """Simulate all ``requests``; returns one record per request.
 
         Records come back in request-index order.  Event/transfer timestamps
         in the per-request reports are absolute simulation times; each
         report's ``end_to_end_latency_s`` is relative to its request's
-        arrival.  Each report keeps its timeline as flat rows and builds its
-        ``events``/``transfers`` objects on first read.
+        arrival.  The returned sequence is the run's
+        :class:`~repro.runtime.record_log.RecordLog`: ``len()`` builds
+        nothing, the first item access builds every record once, and each
+        report builds its ``events``/``transfers`` objects on first read.
 
         Under ``stream_stats`` no records are kept and the returned list is
         empty; :meth:`build_report` reads the run's aggregates either way.
@@ -1297,15 +1242,25 @@ class ServingSimulator:
         if self.autoscaler is not None:
             self._setup_autoscaler()
 
+        # Only the next arrival sits on the heap.  Each arrival still gets
+        # the sequence number it would get if all were pushed here (one
+        # number per arrival is reserved after the setup events above), so
+        # ties at equal timestamps pop in exactly the same order.
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.index))
         self._pending_arrivals = len(ordered)
-        for request in ordered:
-            self._push(request.arrival_s, "arrival", request)
+        first_number = next(self._sequence)
+        arrival_numbers = iter(range(first_number, first_number + len(ordered)))
+        self._sequence = itertools.count(first_number + len(ordered))
+        arrivals = iter(ordered)
+        events = self._events
+        push = heapq.heappush
+        following = next(arrivals, None)
+        if following is not None:
+            push(events, (following.arrival_s, next(arrival_numbers), "arrival", following))
 
         # Hot loop: bind everything referenced per event to locals and test
         # event kinds by descending frequency (task ends and transfer ends
         # dominate any serving run by an order of magnitude).
-        events = self._events
         pop = heapq.heappop
         handle_task_end = self._handle_task_end
         handle_task_end_direct = self._handle_task_end_direct
@@ -1322,6 +1277,12 @@ class ServingSimulator:
             elif kind == "transfer_end":
                 handle_transfer_end(time_s, payload)  # type: ignore[arg-type]
             elif kind == "arrival":
+                following = next(arrivals, None)
+                if following is not None:
+                    push(
+                        events,
+                        (following.arrival_s, next(arrival_numbers), "arrival", following),
+                    )
                 handle_arrival(time_s, payload)  # type: ignore[arg-type]
             elif kind == "fault":
                 self._handle_fault(time_s, payload)  # type: ignore[arg-type]
@@ -1351,10 +1312,11 @@ class ServingSimulator:
                 f"{self._open} requests finished the event loop with "
                 f"unexecuted stages (dependency deadlock)"
             )
-        self._records.sort(key=lambda pair: (pair[0], pair[1].arrival_s))
-        return [record for _, record in self._records]
+        return [] if self._log is None else self._log
 
-    def build_report(self, workload_name: str, records: List[RequestRecord]) -> ServingReport:
+    def build_report(
+        self, workload_name: str, records: Sequence[RequestRecord]
+    ) -> ServingReport:
         """The last run's aggregates plus the cluster's utilisation
         bookkeeping; ``records`` (empty under ``stream_stats``) ride along."""
         start, end = self._stats.makespan_window
@@ -1477,7 +1439,8 @@ class ServingSimulator:
     # ------------------------------------------------------------------ #
     def _handle_arrival(self, time_s: float, request: ServingRequest) -> None:
         self._pending_arrivals -= 1
-        state = _RequestState(request, self._resolve_source(request), self._timelines)
+        state = _RequestState(request, self._resolve_source(request), self._arrived)
+        self._arrived += 1
         self._live[state] = None
         self._open += 1
         if self._downable:
@@ -1520,10 +1483,10 @@ class ServingSimulator:
         """Drop a request from the live set the moment it turns terminal.
 
         This is the one place a request is *accounted*: its aggregates
-        stream into the run's accumulators, its :class:`RequestRecord` is
-        built when timelines are kept, and its stage structures are released
-        (a million-request run never holds more than the in-flight window in
-        memory).
+        stream into the run's accumulators, its outcome enters the run's
+        record log when timelines are kept, and its stage structures are
+        released (a million-request run never holds more than the in-flight
+        window in memory).
         """
         if self._live.pop(state, _MISSING) is _MISSING:
             return  # already retired (idempotent by construction)
@@ -1563,29 +1526,22 @@ class ServingSimulator:
             bytes_to_cloud=state.bytes_to_cloud,
             model=request.graph.name,
         )
-        if self._timelines:
-            # The report shares the row lists: a node death after retirement
-            # can still truncate an event of this request's discarded work.
-            report = ExecutionReport.from_rows(
-                request.graph.name,
-                completion_s - request.arrival_s,
-                state.events,
-                state.transfers,
+        if self._log is not None:
+            # The request's rows stay in the log: a node death after
+            # retirement can still truncate an event of its discarded work.
+            self._log.retire(
+                state.slot,
+                request.index,
                 request.request_id,
+                request.graph.name,
+                request.arrival_s,
+                completion_s,
+                ideal_latency_s,
+                status,
+                state.retries,
+                request.slo_ms,
+                request.priority,
             )
-            record = RequestRecord(
-                request_id=request.request_id,
-                model=request.graph.name,
-                arrival_s=request.arrival_s,
-                completion_s=completion_s,
-                report=report,
-                ideal_latency_s=ideal_latency_s,
-                status=status,
-                retries=state.retries,
-                slo_ms=request.slo_ms,
-                priority=request.priority,
-            )
-            self._records.append((request.index, record))
         state.unit_list = []
 
     def _predicted_latency_s(self, state: _RequestState, time_s: float) -> float:
@@ -2040,7 +1996,7 @@ class ServingSimulator:
             sequence = self._sequence
             push = heapq.heappush
             direct = self._pop_select and not self._faulty
-            timelines = self._timelines
+            log = self._log
             tier_value = unit.compiled.tier_value
             events = self._events
             occupancy = self.batch_occupancy
@@ -2062,9 +2018,9 @@ class ServingSimulator:
                     compute.available_at = end
                     compute.busy_seconds += duration
                     node_state.busy = True
-                    if timelines:
-                        state.events.append(
-                            (compute.name, tier_value, label, "compute", start, end)
+                    if log is not None:
+                        log.event(
+                            state.slot, compute.name, tier_value, label, "compute", start, end
                         )
                     run_id = node_state.run_id + 1
                     node_state.run_id = run_id
@@ -2187,13 +2143,19 @@ class ServingSimulator:
             node.available_at = end
             node.busy_seconds += duration
             node_state.busy = True
-            if self._timelines:
+            log = self._log
+            if log is not None:
                 unit = task.unit
-                rows = unit.state.events
-                rows.append(
-                    (node.name, unit.compiled.tier_value, task.label, "compute", start, end)
+                position = log.event(
+                    unit.state.slot,
+                    node.name,
+                    unit.compiled.tier_value,
+                    task.label,
+                    "compute",
+                    start,
+                    end,
                 )
-                members = [(task, rows, len(rows) - 1)]
+                members = [(task, log, position)]
             else:
                 members = [(task, None, 0)]
             run_id = node_state.run_id + 1
@@ -2210,16 +2172,23 @@ class ServingSimulator:
         duration = batch_cost_s(solo, node_state.node.hardware.batch_exponent)
         start, end = node_state.node.schedule(time_s, duration)
         node_state.busy = True
-        if self._timelines:
+        log = self._log
+        if log is not None:
             name = node_state.node.name
             prefix = f"batch[{len(tasks)}]:"
             members = []
             for task in tasks:
                 unit = task.unit
-                rows = unit.state.events
-                label = prefix + task.label
-                rows.append((name, unit.compiled.tier_value, label, "compute", start, end))
-                members.append((task, rows, len(rows) - 1))
+                position = log.event(
+                    unit.state.slot,
+                    name,
+                    unit.compiled.tier_value,
+                    prefix + task.label,
+                    "compute",
+                    start,
+                    end,
+                )
+                members.append((task, log, position))
             self.batches.append(
                 BatchRecord(
                     node=name,
@@ -2290,10 +2259,15 @@ class ServingSimulator:
         unit.completed = True
         if time_s > state.completion_s:
             state.completion_s = time_s
-        if state.events is not None and unit.run is not None:
-            gather = unit.gather_label
-            state.events.append(
-                (unit.home_node.name, Tier.EDGE.value, gather, "gather", time_s, time_s)
+        if self._log is not None and unit.run is not None:
+            self._log.event(
+                state.slot,
+                unit.home_node.name,
+                Tier.EDGE.value,
+                unit.gather_label,
+                "gather",
+                time_s,
+                time_s,
             )
         epoch = state.epoch
         unit_list = state.unit_list
@@ -2415,17 +2389,16 @@ class ServingSimulator:
         if dst_unit.tier == Tier.CLOUD and src_unit.tier != Tier.CLOUD:
             # The exact predicate of ``TensorTransfer.crosses_backbone``.
             state.bytes_to_cloud += payload
-        if state.transfers is not None:
-            state.transfers.append(
-                (
-                    producer.name,
-                    consumer.name,
-                    src_unit.compiled.tier_value,
-                    dst_unit.compiled.tier_value,
-                    payload,
-                    overall_start,
-                    clock - overall_start,
-                )
+        if self._log is not None:
+            self._log.transfer(
+                state.slot,
+                producer.name,
+                consumer.name,
+                src_unit.compiled.tier_value,
+                dst_unit.compiled.tier_value,
+                payload,
+                overall_start,
+                clock - overall_start,
             )
         if self.faults:
             link_ids = frozenset(
@@ -2572,16 +2545,15 @@ class ServingSimulator:
                 continue
             self._cold_start_s += delay_s
             self._loading[key] = [(state, unit, state.epoch)]
-            if state.events is not None:
-                state.events.append(
-                    (
-                        name,
-                        unit.compiled.tier_value,
-                        f"load:{model}",
-                        "coldstart",
-                        time_s,
-                        time_s + delay_s,
-                    )
+            if self._log is not None:
+                self._log.event(
+                    state.slot,
+                    name,
+                    unit.compiled.tier_value,
+                    f"load:{model}",
+                    "coldstart",
+                    time_s,
+                    time_s + delay_s,
                 )
             self._push(time_s + delay_s, "coldstart", (name, model, entry_bytes))
             ready = False
@@ -2771,10 +2743,9 @@ class ServingSimulator:
             return
         members, end_s = node_state.current
         if end_s > time_s:
-            for _, rows, index in members:
-                if rows is not None and rows[index][5] > time_s:
-                    # Rows are ``(..., start_s, end_s)``: cut the end.
-                    rows[index] = rows[index][:5] + (time_s,)
+            for _, log, position in members:
+                if log is not None:
+                    log.truncate(position, time_s)
             node_state.node.busy_seconds -= end_s - time_s
         if len(members) > 1:
             for task, _, _ in members:

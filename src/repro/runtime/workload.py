@@ -15,6 +15,7 @@ original one-shot pipeline is expressed on top of the serving engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -69,8 +70,13 @@ class Request:
     priority: int = 0
 
     def __post_init__(self) -> None:
+        # ``nan < 0`` is False, so finiteness is checked on its own.
+        if not math.isfinite(self.arrival_s):
+            raise ValueError(f"arrival time must be finite, got {self.arrival_s!r}")
         if self.arrival_s < 0:
             raise ValueError("arrival time cannot be negative")
+        if self.slo_ms is not None and not math.isfinite(self.slo_ms):
+            raise ValueError(f"slo_ms must be finite when set, got {self.slo_ms!r}")
         if self.slo_ms is not None and self.slo_ms <= 0:
             raise ValueError("slo_ms must be positive when set")
         if self.priority < 0:

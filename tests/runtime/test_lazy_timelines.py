@@ -1,12 +1,14 @@
 """Record mode keeps each request's timeline as flat rows.
 
-The serving engine appends one tuple of atoms per event and per transfer;
-``ExecutionReport`` builds the ``TimelineEvent``/``TensorTransfer`` objects
-the first time ``events``/``transfers`` is read.  These tests pin what that
+The serving engine appends every event and transfer to its run's columnar
+record log; each ``ExecutionReport`` is built from that request's rows and
+builds the ``TimelineEvent``/``TensorTransfer`` objects the first time
+``events``/``transfers`` is read.  These tests pin what that
 must not change: the objects, their checks, report equality and ``repr``.
 """
 
 import gc
+import types
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro.runtime.simulator import ExecutionReport, TimelineEvent
 from repro.runtime.workload import Workload
 
 
-def _serve():
+def _serve(num_requests=20):
     system = D3System(
         D3Config(
             network="wifi",
@@ -28,20 +30,35 @@ def _serve():
             profiler_noise_std=0.0,
         )
     )
-    return system.serve(Workload.poisson("alexnet", num_requests=20, rate_rps=8.0, seed=0))
+    return system.serve(
+        Workload.poisson("alexnet", num_requests=num_requests, rate_rps=8.0, seed=0)
+    )
+
+
+def _tracked_objects_reachable_from(root):
+    """Objects the cyclic GC tracks that ``root`` keeps alive (its classes,
+    modules and functions excluded: they are shared, not retained)."""
+    seen = set()
+    stack = [root]
+    count = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            count += 1
+            stack.extend(gc.get_referents(obj))
+    return count
 
 
 def test_stored_rows_are_untracked_by_the_cyclic_gc():
-    report = _serve()
+    # An unread report keeps its timelines and outcomes in a columnar log of
+    # atoms: what the GC must walk does not grow with the request count.
+    small, large = _serve(50), _serve(500)
     gc.collect()
-    rows = [
-        row
-        for record in report.records
-        for key in ("_event_rows", "_transfer_rows")
-        for row in vars(record.report)[key]
-    ]
-    assert rows
-    assert all(gc.is_tracked(row) is False for row in rows)
+    assert len(small.records) == 50 and len(large.records) == 500
+    assert _tracked_objects_reachable_from(small) == _tracked_objects_reachable_from(large)
 
 
 def test_events_are_built_once_and_cached(monkeypatch):

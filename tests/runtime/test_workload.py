@@ -1,5 +1,7 @@
 """Tests for the workload abstraction (arrival processes, determinism)."""
 
+import math
+
 import pytest
 
 from repro.runtime.workload import Request, Workload
@@ -9,6 +11,29 @@ class TestRequest:
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError):
             Request(index=0, model="vgg16", arrival_s=-1.0)
+
+    @pytest.mark.parametrize("arrival_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, arrival_s):
+        with pytest.raises(ValueError, match="arrival time must be finite"):
+            Request(index=0, model="vgg16", arrival_s=arrival_s)
+
+    @pytest.mark.parametrize("slo_ms", [math.nan, math.inf])
+    def test_non_finite_slo_rejected(self, slo_ms):
+        with pytest.raises(ValueError, match="slo_ms must be finite"):
+            Request(index=0, model="vgg16", arrival_s=0.0, slo_ms=slo_ms)
+        with pytest.raises(ValueError, match="slo_ms must be finite"):
+            Workload.poisson("vgg16", num_requests=3, rate_rps=1.0, seed=0, slo_ms=slo_ms)
+
+    def test_nan_cannot_slip_past_the_workload_order_check(self):
+        # ``nan < x`` is False both ways, so a NaN between two arrivals
+        # would hide the out-of-order 0.5 from the pairwise check.
+        with pytest.raises(ValueError, match="arrival time must be finite"):
+            Workload(
+                [
+                    Request(index=i, model="vgg16", arrival_s=arrival)
+                    for i, arrival in enumerate([1.0, math.nan, 0.5])
+                ]
+            )
 
     def test_request_id(self):
         assert Request(index=3, model="vgg16", arrival_s=0.0).request_id == "req-3"
