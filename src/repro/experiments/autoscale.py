@@ -154,7 +154,8 @@ def run_autoscale_comparison(
 
 
 def format_autoscale_comparison(results: Sequence[AutoscaleResult]) -> str:
-    """Render the fleet × balancer p99/goodput/node-hours table."""
+    """Render the fleet × balancer p99/goodput/node-hours table, plus the
+    node-hours the elastic rows save when both fleets are present."""
     rows = []
     for fleet, balancer, report in results:
         pct = report.latency_percentiles()
@@ -167,12 +168,12 @@ def format_autoscale_comparison(results: Sequence[AutoscaleResult]) -> str:
                 pct["p99"] * 1e3,
                 report.goodput_rps,
                 report.slo_attainment * 100.0,
-                report.node_hours,
+                f"{report.node_hours:.3f}",
                 report.scale_up_events,
                 report.scale_down_events,
             )
         )
-    return format_table(
+    table = format_table(
         headers=(
             "fleet",
             "balancer",
@@ -188,6 +189,9 @@ def format_autoscale_comparison(results: Sequence[AutoscaleResult]) -> str:
         rows=rows,
         title="Elastic fleets — diurnal load × fleet policy × balancer",
     )
+    if set(FLEETS) <= {fleet for fleet, _, _ in results}:
+        table += f"\nnode-hours saved (elastic vs static): {node_hour_savings(results):.1%}"
+    return table
 
 
 def node_hour_savings(results: Sequence[AutoscaleResult]) -> float:

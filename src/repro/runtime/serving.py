@@ -681,9 +681,9 @@ class _CompiledPlan:
 
     def __init__(self, units: List[_CompiledUnit]) -> None:
         self.units = units
-        #: Wires the plan's cross-unit edges traverse, memoized on fault-free
-        #: runs for the admission predictor (route state never changes then).
-        self.touched_links: Optional[List[SharedLink]] = None
+        #: ``(route revision, wires)`` the plan's cross-unit edges traverse,
+        #: memoized for the admission predictor while routes stay unchanged.
+        self.touched_links: Optional[Tuple[int, List[SharedLink]]] = None
         #: Names of every node the plan executes on (admission predictor).
         self.touched_nodes: FrozenSet[str] = frozenset()
         #: Strong references to the objects whose ids key this compilation,
@@ -736,7 +736,7 @@ class _Unit:
         self.tasks = compiled.tasks
         self.out_edges = compiled.out_edges
         self.waiting = compiled.waiting  # incoming cross-unit edges not yet arrived
-        self.remaining_tasks = 0  # compute tasks in flight once started
+        self.remaining_tasks = 0  # tasks in flight once started; -1 once discarded
         self.completed = False
 
     @property
@@ -1153,19 +1153,25 @@ class ServingSimulator:
         # handful per run) while the consumers run per request — so each is
         # rebuilt lazily and invalidated by ``_membership_changed``.
         self._membership_rev = 0
+        #: Bumped on every membership change and link fault: keys the route
+        #: memo of the run's compiled plans (which never outlive the run).
+        self._route_rev = 0
         self._membership_key = None
         self._members_cache = None
         self._scale_up_count = 0
         self._scale_down_count = 0
         self._pending_arrivals = 0
-        # Fast-path predicates, resolved once per run: with no fault schedule
-        # nodes can never go down (``reset`` heals everything), a scheduler
-        # that keeps the base queue key lets enqueue build keys inline, and
-        # the plain pop-the-root policies (FIFO/EDF) dispatch without the
-        # select() indirection or flush bookkeeping.
-        self._faulty = bool(self.faults)
-        self._elastic = self.elasticity is not None or self.autoscaler is not None
-        self._downable = self._faulty or self._elastic
+        #: Admission control only: per node, the unfinished solo seconds of
+        #: every started attempt (released as units complete or attempts die).
+        self._backlog = {} if self.scheduler.admission_control else None
+        # Fast-path predicates, resolved once per run: with no fault or
+        # elasticity schedule nodes can never go down (``reset`` heals
+        # everything), a scheduler that keeps the base queue key lets enqueue
+        # build keys inline, and the plain pop-the-root policies (FIFO/EDF)
+        # dispatch without the select() indirection or flush bookkeeping.
+        self._downable = bool(self.faults) or (
+            self.elasticity is not None or self.autoscaler is not None
+        )
         #: Alias of the cluster's live down-node name set (mutated in place
         #: by fail/recover): hot-path liveness tests reduce to a membership
         #: test that short-circuits on the empty set — no method call, and
@@ -1510,6 +1516,10 @@ class ServingSimulator:
             # becomes a candidate victim again.
             state.memory_ready = None
             state.memory_waiting = None
+        if self._backlog is not None and status == "failed":
+            # A completed request released its units one by one and a shed
+            # one never committed any; a failed one still holds the rest.
+            self._shift_backlog(state.unit_list, -1.0)
         if self._draining:
             # Every retirement may be the one a graceful drain was waiting
             # on: re-check each draining node for stranded references.
@@ -1551,7 +1561,8 @@ class ServingSimulator:
         work of every live request bound to it — not just what already sits
         in its ready-queue, since a chain enqueues one stage at a time and a
         queue-depth view would miss almost all of an admitted request's
-        remaining work.  The backlog of a wire is its reservation watermark:
+        remaining work; ``_backlog`` keeps it per node as work starts and
+        finishes.  The backlog of a wire is its reservation watermark:
         store-and-forward booking pushes ``available_at`` out for every
         queued transfer, so a saturated uplink — the usual bottleneck of
         offloaded inference — is visible at the door.  Compute and wire
@@ -1567,55 +1578,34 @@ class ServingSimulator:
             # the learned achieved/planned inflation for this model, so a
             # systematically optimistic plan starts shedding earlier.
             ideal *= self.calibration.latency_factor(state.request.graph.name)
-        compiled = state.compiled
-        touched = (
-            compiled.touched_nodes
-            if compiled is not None
-            else {node.name for unit in state.unit_list for node in unit.exec_nodes}
-        )
-        committed = self._committed_node_s(touched, exclude=state)
-        node_backlog = max(committed.values(), default=0.0)
+        backlog = self._backlog
+        node_backlog = max([0.0] + [backlog.get(n, 0.0) for n in state.compiled.touched_nodes])
         link_backlog = 0.0
         if self.link_contention == "fifo":
             for link in self._touched_links(state):
                 link_backlog = max(link_backlog, max(0.0, link.available_at - time_s))
         return ideal + node_backlog + link_backlog
 
-    def _committed_node_s(
-        self, touched: set, exclude: _RequestState
-    ) -> Dict[str, float]:
-        """Unfinished solo compute seconds bound to each node in ``touched``
-        across every live request (the admitting request itself excluded).
-
-        Iterates the live set — non-terminal requests in arrival order —
-        which is exactly the subset (and the order) the historical full-state
-        scan accumulated over, without touching the requests that already
-        finished: the scan is O(in-flight window), not O(requests ever seen).
-        """
-        committed = {name: 0.0 for name in touched}
-        for state in self._live:
-            if state is exclude or state.terminal:
-                continue
-            for unit in state.unit_list:
-                if unit.completed:
-                    continue
+    def _shift_backlog(self, units: List[_Unit], sign: float) -> None:
+        """Commit (``sign`` 1.0) or release (-1.0) the solo seconds of every
+        unfinished unit in ``units`` to the admission backlog."""
+        backlog = self._backlog
+        for unit in units:
+            if not unit.completed:
                 for name, duration in unit.compiled.node_costs:
-                    if name in committed:
-                        committed[name] += duration
-        return committed
+                    backlog[name] = backlog.get(name, 0.0) + sign * duration
 
     def _touched_links(self, state: _RequestState) -> List[SharedLink]:
         """The wires the request's cross-unit edges will traverse.
 
-        Memoized on the compiled plan for fault-free runs (routes cannot
-        change then); recomputed against the live route state otherwise.
+        Memoized on the compiled plan, keyed by the route revision: a fault
+        or membership change re-routes, so the next read recomputes against
+        the live route state.
         """
         compiled = state.compiled
-        # Group-bound stages resolve their home per request, so the links a
-        # *request* touches are not a property of the compiled plan there.
-        memoize = not self.faults and not self._grouped and compiled is not None
-        if memoize and compiled.touched_links is not None:
-            return compiled.touched_links
+        memo = compiled.touched_links
+        if memo is not None and memo[0] == self._route_rev:
+            return memo[1]
         links: Dict[int, SharedLink] = {}
         unit_list = state.unit_list
         for unit in unit_list:
@@ -1632,8 +1622,10 @@ class ServingSimulator:
                 for link in route:
                     links[id(link)] = link
         resolved = list(links.values())
-        if memoize:
-            compiled.touched_links = resolved
+        if not self._grouped:
+            # Group-bound stages resolve their home per request, so the links
+            # a *request* touches are not a property of the compiled plan.
+            compiled.touched_links = (self._route_rev, resolved)
         return resolved
 
     def _activate(self, state: _RequestState, time_s: float) -> bool:
@@ -1655,6 +1647,8 @@ class ServingSimulator:
         return True
 
     def _start_ready_units(self, state: _RequestState, time_s: float) -> None:
+        if self._backlog is not None:
+            self._shift_backlog(state.unit_list, 1.0)
         epoch = state.epoch
         for unit in state.unit_list:
             if unit.waiting == 0:
@@ -1668,6 +1662,9 @@ class ServingSimulator:
     def _build_units(self, state: _RequestState) -> None:
         """Instantiate the request's stages from the shared compiled plan."""
         compiled = self._compiled_for(state)
+        if self._backlog is not None:
+            # A failover rebuild: the discarded attempt's work is void.
+            self._shift_backlog(state.unit_list, -1.0)
         state.compiled = compiled
         state.unit_list = [_Unit(state, unit) for unit in compiled.units]
         state.remaining_units = len(state.unit_list)
@@ -1987,60 +1984,60 @@ class ServingSimulator:
                 # failed) and re-enters here when its cold start completes.
                 return
         unit.remaining_tasks = len(tasks)
-        epoch = state.epoch
-        if self._base_key:
-            # Base scheduler key is ``(request index, topo rank, seq)`` —
-            # built inline, skipping the queue_key indirection per task.
-            index = state.request.index
-            topo = unit.topo_key
-            sequence = self._sequence
-            push = heapq.heappush
-            direct = self._pop_select and not self._faulty
-            log = self._log
-            tier_value = unit.compiled.tier_value
-            events = self._events
-            occupancy = self.batch_occupancy
-            for node, duration, label, node_state in tasks:
-                if direct and not node_state.busy and not node_state.queue:
-                    # Idle node + empty queue + pop-the-root scheduler: this
-                    # task is exactly what a queue round-trip would hand
-                    # back, so run it now — no :class:`_Task`, no key tuple,
-                    # no heappush/heappop, no dispatch call.  Fault-free
-                    # runs only, which is also why no ``current`` membership
-                    # is recorded: nothing can die mid-flight, so the kill
-                    # path that reads it is unreachable.
-                    if duration < 0:
-                        raise ValueError("duration cannot be negative")
-                    compute = node_state.node
-                    available = compute.available_at
-                    start = available if available > time_s else time_s
-                    end = start + duration
-                    compute.available_at = end
-                    compute.busy_seconds += duration
-                    node_state.busy = True
-                    if log is not None:
-                        log.event(
-                            state.slot, compute.name, tier_value, label, "compute", start, end
-                        )
-                    run_id = node_state.run_id + 1
-                    node_state.run_id = run_id
-                    occupancy[1] = occupancy.get(1, 0) + 1
-                    push(
-                        events,
-                        (end, next(sequence), "task_end1", (node_state, unit, run_id)),
+        sequence = self._sequence
+        push = heapq.heappush
+        direct = self._pop_select
+        down = self._down_live
+        downable = self._downable
+        log = self._log
+        tier_value = unit.compiled.tier_value
+        events = self._events
+        occupancy = self.batch_occupancy
+        position = 0  # the row a stream-mode run never writes
+        for node, duration, label, node_state in tasks:
+            if (
+                direct
+                and not node_state.busy
+                and not node_state.queue
+                and not (down and node.name in down)
+            ):
+                # Idle live node + empty queue + pop-the-root scheduler: this
+                # task is exactly what a queue round-trip would hand back, so
+                # run it now — no :class:`_Task`, no key tuple, no
+                # heappush/heappop, no dispatch call.  Where nodes can go
+                # down, the running row is recorded for the kill path.
+                if duration < 0:
+                    raise ValueError("duration cannot be negative")
+                available = node.available_at
+                start = available if available > time_s else time_s
+                end = start + duration
+                node.available_at = end
+                node.busy_seconds += duration
+                node_state.busy = True
+                if log is not None:
+                    position = log.event(
+                        state.slot, node.name, tier_value, label, "compute", start, end
                     )
-                    continue
-                task = _Task(unit, node, duration, label, epoch, time_s)
-                push(node_state.queue, ((index, topo, next(sequence)), task))
-                if not node_state.busy:
-                    self._dispatch(node_state, time_s)
-        else:
-            for node, duration, label, node_state in tasks:
-                task = _Task(unit, node, duration, label, epoch, time_s)
-                key = self.scheduler.queue_key(task, next(self._sequence))
-                heapq.heappush(node_state.queue, (key, task))
-                if not node_state.busy:
-                    self._dispatch(node_state, time_s)
+                if downable:
+                    node_state.current = ([(None, log, position)], end)
+                run_id = node_state.run_id + 1
+                node_state.run_id = run_id
+                occupancy[1] = occupancy.get(1, 0) + 1
+                push(
+                    events,
+                    (end, next(sequence), "task_end1", (node_state, unit, run_id)),
+                )
+                continue
+            task = _Task(unit, node, duration, label, state.epoch, time_s)
+            if self._base_key:
+                # The base scheduler key ``(request index, topo rank, seq)``,
+                # built inline, skipping the queue_key indirection.
+                key = (state.request.index, unit.topo_key, next(sequence))
+            else:
+                key = self.scheduler.queue_key(task, next(sequence))
+            push(node_state.queue, (key, task))
+            if not node_state.busy:
+                self._dispatch(node_state, time_s)
 
     def _prune_queue(self, node_state: _NodeState) -> None:
         """Drop queued tasks of aborted or terminal attempts, so the
@@ -2064,9 +2061,12 @@ class ServingSimulator:
         tombstones.clear()
         heapq.heapify(node_state.queue)
 
-    def _mark_queues_dirty(self, state: _RequestState) -> None:
-        """Flag the nodes that may hold queued tasks of a dying attempt."""
+    def _discard_attempt(self, state: _RequestState) -> None:
+        """Flag the nodes that may hold queued tasks of a dying attempt, and
+        disarm its units so a task still running on a healthy node can never
+        complete one."""
         for unit in state.unit_list:
+            unit.remaining_tasks = -1
             home = unit.home_node
             if home is not None:
                 # Group-bound stages carry no compiled exec_nodes; their
@@ -2213,11 +2213,14 @@ class ServingSimulator:
         self, time_s: float, payload: Tuple[_NodeState, _Unit, int]
     ) -> None:
         """Completion of a direct dispatch (``task_end1``): exactly one task,
-        started on an idle node of a fault-free pop-the-root run, so the
-        epoch/failure screening of :meth:`_handle_task_end` is vacuous and
-        the payload carries the unit itself rather than a task list."""
+        started on an idle node of a pop-the-root run, so the payload carries
+        the unit itself rather than a task list.  No epoch screening is
+        needed: a discarded attempt's units count down from -1 and never
+        reach zero, and a node death bumps the run id."""
         node_state, unit, run_id = payload
-        if run_id != node_state.run_id:  # pragma: no cover - defensive
+        if run_id != node_state.run_id:
+            # The node died while this task was on it (see
+            # :meth:`_kill_running_task`).
             return
         node_state.busy = False
         unit.remaining_tasks -= 1
@@ -2257,6 +2260,10 @@ class ServingSimulator:
     def _complete_unit(self, state: _RequestState, unit: _Unit, time_s: float) -> None:
         state.remaining_units -= 1
         unit.completed = True
+        backlog = self._backlog
+        if backlog is not None:
+            for name, duration in unit.compiled.node_costs:
+                backlog[name] -= duration
         if time_s > state.completion_s:
             state.completion_s = time_s
         if self._log is not None and unit.run is not None:
@@ -2702,12 +2709,14 @@ class ServingSimulator:
             if not self.cluster.link_is_up(event.target):
                 return
             self.cluster.fail_link(event.target)
+            self._route_rev += 1
             self._open_interval(self._link_down_intervals, event.target, time_s)
             self._abort_inflight_over({event.target}, time_s)
         elif event.kind == "link_up":
             if self.cluster.link_is_up(event.target):
                 return
             self.cluster.recover_link(event.target)
+            self._route_rev += 1
             self._close_interval(self._link_down_intervals, event.target, time_s)
         else:  # pragma: no cover - schedule validation rejects unknown kinds
             raise RuntimeError(f"unknown fault kind {event.kind!r}")
@@ -2839,7 +2848,7 @@ class ServingSimulator:
         if state.terminal:
             return
         self._release_inflight(state, time_s)
-        self._mark_queues_dirty(state)
+        self._discard_attempt(state)
         if state.memory_ready is not None:
             # The discarded attempt's residency claims are void: the retry
             # re-verifies against the degraded deployment, and a stale claim
@@ -2879,7 +2888,7 @@ class ServingSimulator:
         state.failed = True
         state.epoch += 1
         state.completion_s = time_s
-        self._mark_queues_dirty(state)
+        self._discard_attempt(state)
         self._retire(state, "failed", time_s)
 
     # ------------------------------------------------------------------ #
@@ -2890,6 +2899,7 @@ class ServingSimulator:
         derived from fleet membership (the compile re-key, the balancer's
         choice domain, and each request's verified sticky binding)."""
         self._membership_rev += 1
+        self._route_rev += 1
         self._membership_key = None
         self._members_cache = None
 

@@ -8,7 +8,7 @@ every terminal status, in order, at full float precision — into a JSON
 document that is committed as a fixture and diffed exactly by
 ``tests/runtime/test_golden_traces.py``.
 
-Six canonical workloads are pinned (:data:`GOLDEN_SCENARIOS`):
+Seven canonical workloads are pinned (:data:`GOLDEN_SCENARIOS`):
 
 ``steady``
     A Poisson AlexNet stream on the canonical three-tier testbed — the
@@ -32,8 +32,13 @@ Six canonical workloads are pinned (:data:`GOLDEN_SCENARIOS`):
     An AlexNet stream over a decaying optical backbone with online
     calibration and bandwidth forecasting enabled — pins proactive
     (forecast-ahead) repartition timing, calibrated plan pricing and the
-    mispredict accounting.  The other five run with calibration off, so
+    mispredict accounting.  The others run with calibration off, so
     they double as the proof the machinery is inert by default.
+``admission``
+    An AlexNet stream over the multi-device fleet with per-request SLOs,
+    earliest-deadline-first dispatch and SLO admission control, under a
+    seeded chaos fault schedule with failover retries — pins shedding at
+    the door, deadline-ordered queues and failover on the same run.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -159,6 +164,23 @@ def _adaptation_report() -> ServingReport:
     )
 
 
+def _admission_report() -> ServingReport:
+    from repro.core.d3 import D3Config, D3System
+    from repro.runtime.workload import Workload
+
+    system = D3System(
+        D3Config(topology="multi_device", use_regression=False, profiler_noise_std=0.0)
+    )
+    sources = [node.name for node in system.cluster.devices]
+    # A 100 ms SLO against a ~70 ms idle path at 10 rps: bursts queue enough
+    # to shed at the door, and the chaos seed crashes edge-0 under load, so
+    # the fixture pins shedding and failover retries in one run.
+    workload = Workload.poisson(
+        "alexnet", num_requests=40, rate_rps=10.0, seed=6, sources=sources, slo_ms=100.0
+    )
+    return system.serve(workload, scheduler="edf", faults="chaos:2", max_retries=2)
+
+
 #: name -> report builder; every entry becomes one committed fixture.
 GOLDEN_SCENARIOS: Dict[str, Callable[[], ServingReport]] = {
     "steady": _steady_report,
@@ -167,6 +189,7 @@ GOLDEN_SCENARIOS: Dict[str, Callable[[], ServingReport]] = {
     "elastic": _elastic_report,
     "multimodel": _multimodel_report,
     "adaptation": _adaptation_report,
+    "admission": _admission_report,
 }
 
 

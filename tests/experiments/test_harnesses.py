@@ -237,6 +237,25 @@ class TestAutoscaleComparison:
         assert "node-hrs" in table and "elastic" in table and "static" in table
         assert "diurnal load" in table
 
+    def test_table_states_node_hours_and_the_saving(self, results):
+        """Node-hours print to three decimals, so the two fleets' 0.099 and
+        0.081 stay distinguishable, and the saving is printed, not implied."""
+        from repro.experiments.autoscale import (
+            format_autoscale_comparison,
+            node_hour_savings,
+        )
+
+        table = format_autoscale_comparison(results)
+        for _, _, report in results:
+            assert f"  {report.node_hours:.3f}  " in table
+        saving = node_hour_savings(results)
+        assert saving > 0.0
+        assert table.splitlines()[-1] == (
+            f"node-hours saved (elastic vs static): {saving:.1%}"
+        )
+        # A table without both fleets has no saving to state.
+        assert "saved" not in format_autoscale_comparison(results[:1])
+
     def test_scenario_validation(self):
         from repro.experiments.autoscale import (
             AutoscaleScenario,

@@ -63,7 +63,7 @@ class TestGoldenTraces:
             assert mine == theirs, f"{name}: request {theirs['request_id']} diverged"
 
     def test_traces_cover_the_interesting_regimes(self, traces):
-        """The three fixtures must keep exercising what they were chosen for."""
+        """Every fixture must keep exercising what it was chosen for."""
         steady = traces["steady"]
         assert steady["num_failed"] == 0 and not steady["node_down_s"]
         chaos = traces["chaos"]
@@ -123,8 +123,16 @@ class TestGoldenTraces:
         assert calibration["first_adaptation_s"] is not None
         assert all(
             "calibration" not in traces[name]
-            for name in ("steady", "chaos", "fleet", "elastic", "multimodel")
+            for name in ("steady", "chaos", "fleet", "elastic", "multimodel", "admission")
         ), "a calibration-free fixture grew a calibration block — the inert path leaked"
+        admission = traces["admission"]
+        statuses = [r["status"] for r in admission["records"]]
+        assert "rejected" in statuses, "admission fixture no longer sheds at the door"
+        assert any(r["retries"] > 0 for r in admission["records"]), (
+            "admission fixture no longer retries a faulted attempt"
+        )
+        assert admission["node_down_s"], "admission fixture no longer injects downtime"
+        assert "memory" not in admission
 
 
 class TestRegeneration:
