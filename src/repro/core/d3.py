@@ -295,6 +295,13 @@ class D3System:
         self._adaptation: Optional[AdaptationTracker] = None
         self._adaptation_time = 0.0
         self._adaptation_sample = 1.0
+        #: Plan keys memoized for the current serve()/plan_requests() call:
+        #: one ``(graph, strategy, condition, key)`` slot per ``(graph,
+        #: strategy, source, deployment)``.  Within a call everything else
+        #: a key reads (config, memory model, topology) is fixed, so the
+        #: same condition object always yields the same key; a traced
+        #: stream's fresh condition replaces the slot.  None outside calls.
+        self._key_memo: Optional[Dict[Tuple, Tuple]] = None
 
     # ------------------------------------------------------------------ #
     # Offline phase
@@ -426,8 +433,10 @@ class D3System:
             under the topology's planning view at its arrival time, and every
             physical wire is watched individually for drift.
         thresholds:
-            Drift band for plan invalidation (defaults to the paper's
-            ``[0.75, 1.25]``).
+            Drift band for plan invalidation in this call (defaults to the
+            plan cache's band, the paper's ``[0.75, 1.25]`` unless changed
+            through :meth:`~repro.core.plan_cache.PlanCache.set_thresholds`).
+            The cache's band is restored when the call returns.
         link_contention:
             ``"fifo"`` (default) serializes concurrent transfers per link;
             ``"none"`` reproduces the paper's uncontended one-shot links.
@@ -551,14 +560,17 @@ class D3System:
             this call.
         """
         strategy = self._strategy_for(method)
-        if thresholds is not None:
-            self.plan_cache.set_thresholds(thresholds)
         schedule = self._resolve_faults(faults, workload)
         elastic = self._resolve_elasticity(elasticity)
         memory_model = resolve_memory(memory, codec=codec, eviction=eviction)
         calibrator = resolve_calibration(calibration)
         before = self.plan_cache.stats()
+        # The band applies to this call only; the finally restores it.
+        band = self.plan_cache.thresholds
+        if thresholds is not None:
+            self.plan_cache.set_thresholds(thresholds)
         self._memory = memory_model
+        self._key_memo = {}
         tracker: Optional[AdaptationTracker] = None
         if calibrator is not None:
             tracker = AdaptationTracker(
@@ -603,7 +615,10 @@ class D3System:
                 tracker.finish(max(r.arrival_s for r in requests))
             records = simulator.run(requests)
         finally:
+            if thresholds is not None:
+                self.plan_cache.set_thresholds(band)
             self._memory = None
+            self._key_memo = None
             self._calibration = None
             self._forecaster = None
             self._adaptation = None
@@ -643,10 +658,12 @@ class D3System:
         """
         strategy = self._strategy_for(method)
         self._memory = resolve_memory(memory)
+        self._key_memo = {}
         try:
             requests = self._plan_workload(workload, strategy, None, trace)
         finally:
             self._memory = None
+            self._key_memo = None
         return requests
 
     def _plan_workload(
@@ -1111,7 +1128,19 @@ class D3System:
         """
         strategy = strategy or self._strategy_for()
         cache = self.plan_cache
-        key = self._plan_key(graph, condition, strategy, deployment)
+        memo = self._key_memo
+        if memo is None:
+            key = self._plan_key(graph, condition, strategy, deployment)
+        else:
+            # The slot holds strong references to the graph and strategy, so
+            # their ids cannot be recycled while it lives.
+            slot_key = (id(graph), id(strategy), source, deployment)
+            slot = memo.get(slot_key)
+            if slot is not None and slot[2] is condition:
+                key = slot[3]
+            else:
+                key = self._plan_key(graph, condition, strategy, deployment)
+                memo[slot_key] = (graph, strategy, condition, key)
         entry = cache.get(key, condition, link_bandwidths)
         if entry is not None:
             return entry

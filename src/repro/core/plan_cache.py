@@ -83,6 +83,22 @@ class PlanKey:
             topology=topology,
         )
 
+    def __hash__(self) -> int:
+        # The dataclass hash rebuilt per call, cached: the topology
+        # fingerprint is a deep tuple, and a key is hashed on every cache
+        # probe.  String hashes are salted per process, so the cached value
+        # never travels with a pickled key (see ``__getstate__``).
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.model, self.network, self.config, self.strategy, self.topology))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def stream(self) -> Tuple[str, str, Tuple, Tuple]:
         """The ``(model, strategy, config, topology)`` drift stream: every

@@ -619,6 +619,7 @@ class _CompiledUnit:
         "out_edges",
         "gather_label",
         "task_nodes",
+        "chain",
     )
 
     def __init__(self, tier: Tier, vertices: List[Vertex], run: Optional[FusedRunPlan]) -> None:
@@ -663,6 +664,12 @@ class _CompiledUnit:
         #: without touching the transfer machinery.
         self.out_edges: List[Tuple[Vertex, Vertex, int, bool]] = []
         self.gather_label: Optional[str] = None
+        #: A *chain link*: this statically bound solo stage's one out-edge is
+        #: the only input of a single-task solo stage on the same node, so
+        #: completing it starts the successor on the node it just freed.
+        #: The direct completion handler runs the successor's end ahead
+        #: while no other event comes first.
+        self.chain = False
 
 
 class _CompiledPlan:
@@ -1104,6 +1111,16 @@ class ServingSimulator:
         self.batch_occupancy: Dict[int, int] = {}
         self.batches: List[BatchRecord] = []
         self._events: List[Tuple[float, int, str, object]] = []
+        #: One-slot buffer in front of ``_events``: the queue bypass parks
+        #: its ``task_end1`` here, and :meth:`run` pops the smaller of the
+        #: slot and the heap root.  Ties cannot occur (sequence numbers are
+        #: unique), so the pop order is exactly the heap's.
+        self._slot: Optional[Tuple[float, int, str, object]] = None
+        #: Chain-stage ends handled inline by run-ahead (they count in
+        #: ``events_processed``).  ``_run_ahead`` lets :meth:`_compile_plan`
+        #: mark chain links; the tests switch it off to diff against.
+        self._ran_ahead = 0
+        self._run_ahead = True
         self._sequence = itertools.count()
         self._nodes: Dict[str, _NodeState] = {
             node.name: _NodeState(node) for node in self.cluster.all_nodes
@@ -1268,13 +1285,24 @@ class ServingSimulator:
         # event kinds by descending frequency (task ends and transfer ends
         # dominate any serving run by an order of magnitude).
         pop = heapq.heappop
+        replace = heapq.heapreplace
         handle_task_end = self._handle_task_end
         handle_task_end_direct = self._handle_task_end_direct
         handle_transfer_end = self._handle_transfer_end
         handle_arrival = self._handle_arrival
         processed = 0
-        while events:
-            time_s, _, kind, payload = pop(events)
+        while True:
+            slot = self._slot
+            if slot is not None:
+                self._slot = None
+                if events and events[0] < slot:
+                    time_s, _, kind, payload = replace(events, slot)
+                else:
+                    time_s, _, kind, payload = slot
+            elif events:
+                time_s, _, kind, payload = pop(events)
+            else:
+                break
             processed += 1
             if kind == "task_end1":
                 handle_task_end_direct(time_s, payload)  # type: ignore[arg-type]
@@ -1311,7 +1339,7 @@ class ServingSimulator:
                 self._handle_autoscale_tick(time_s)
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown event kind {kind!r}")
-        self.events_processed = processed
+        self.events_processed = processed + self._ran_ahead
 
         if self._open:
             raise RuntimeError(
@@ -1884,6 +1912,23 @@ class ServingSimulator:
                 unit.gather_label = f"gather:{unit.vertices[-1].name}"
             unit.node_costs = [(node.name, cost) for node, cost, _, _ in unit.tasks]
 
+        if self._run_ahead:
+            # Chain links (see ``_CompiledUnit.chain``).  Group-bound stages
+            # compile without tasks and never link: their member, and so
+            # their node, is chosen per request.
+            for unit in units:
+                if len(unit.tasks) != 1 or unit.run is not None or len(unit.out_edges) != 1:
+                    continue
+                _, _, dst_pos, local = unit.out_edges[0]
+                successor = units[dst_pos]
+                unit.chain = (
+                    local
+                    and successor.run is None
+                    and len(successor.tasks) == 1
+                    and successor.waiting == 1
+                    and successor.tasks[0][3] is unit.tasks[0][3]
+                )
+
         plan = _CompiledPlan(units)
         plan.touched_nodes = frozenset(
             node.name for unit in units for node in unit.exec_nodes
@@ -1988,12 +2033,6 @@ class ServingSimulator:
         push = heapq.heappush
         direct = self._pop_select
         down = self._down_live
-        downable = self._downable
-        log = self._log
-        tier_value = unit.compiled.tier_value
-        events = self._events
-        occupancy = self.batch_occupancy
-        position = 0  # the row a stream-mode run never writes
         for node, duration, label, node_state in tasks:
             if (
                 direct
@@ -2004,29 +2043,8 @@ class ServingSimulator:
                 # Idle live node + empty queue + pop-the-root scheduler: this
                 # task is exactly what a queue round-trip would hand back, so
                 # run it now — no :class:`_Task`, no key tuple, no
-                # heappush/heappop, no dispatch call.  Where nodes can go
-                # down, the running row is recorded for the kill path.
-                if duration < 0:
-                    raise ValueError("duration cannot be negative")
-                available = node.available_at
-                start = available if available > time_s else time_s
-                end = start + duration
-                node.available_at = end
-                node.busy_seconds += duration
-                node_state.busy = True
-                if log is not None:
-                    position = log.event(
-                        state.slot, node.name, tier_value, label, "compute", start, end
-                    )
-                if downable:
-                    node_state.current = ([(None, log, position)], end)
-                run_id = node_state.run_id + 1
-                node_state.run_id = run_id
-                occupancy[1] = occupancy.get(1, 0) + 1
-                push(
-                    events,
-                    (end, next(sequence), "task_end1", (node_state, unit, run_id)),
-                )
+                # heappush/heappop, no dispatch call.
+                self._run_inline(state, unit, node, duration, label, node_state, time_s, False)
                 continue
             task = _Task(unit, node, duration, label, state.epoch, time_s)
             if self._base_key:
@@ -2038,6 +2056,58 @@ class ServingSimulator:
             push(node_state.queue, (key, task))
             if not node_state.busy:
                 self._dispatch(node_state, time_s)
+
+    def _run_inline(
+        self,
+        state: _RequestState,
+        unit: _Unit,
+        node: ComputeNode,
+        duration: float,
+        label: str,
+        node_state: "_NodeState",
+        time_s: float,
+        ahead: bool,
+    ) -> bool:
+        """Run one task on its idle node now, as a dispatch would, and queue
+        its ``task_end1`` in the one-slot buffer (or on the heap when the
+        slot is taken).  Where nodes can go down, the running row is
+        recorded for the kill path.
+
+        With ``ahead`` (a chain successor), an end strictly earlier than the
+        heap root and the slot is the event :meth:`run` would pop next: it is
+        not queued, and True tells the caller to handle it now."""
+        if duration < 0:
+            raise ValueError("duration cannot be negative")
+        available = node.available_at
+        start = available if available > time_s else time_s
+        end = start + duration
+        node.available_at = end
+        node.busy_seconds += duration
+        node_state.busy = True
+        log = self._log
+        position = 0  # the row a stream-mode run never writes
+        if log is not None:
+            position = log.event(
+                state.slot, node.name, unit.compiled.tier_value, label, "compute", start, end
+            )
+        if self._downable:
+            node_state.current = ([(None, log, position)], end)
+        run_id = node_state.run_id + 1
+        node_state.run_id = run_id
+        occupancy = self.batch_occupancy
+        occupancy[1] = occupancy.get(1, 0) + 1
+        events = self._events
+        slot = self._slot
+        if ahead and not (
+            (events and events[0][0] <= end) or (slot is not None and slot[0] <= end)
+        ):
+            return True
+        event = (end, next(self._sequence), "task_end1", (node_state, unit, run_id))
+        if slot is None:
+            self._slot = event
+        else:
+            heapq.heappush(events, event)
+        return False
 
     def _prune_queue(self, node_state: _NodeState) -> None:
         """Drop queued tasks of aborted or terminal attempts, so the
@@ -2216,20 +2286,75 @@ class ServingSimulator:
         started on an idle node of a pop-the-root run, so the payload carries
         the unit itself rather than a task list.  No epoch screening is
         needed: a discarded attempt's units count down from -1 and never
-        reach zero, and a node death bumps the run id."""
+        reach zero, and a node death bumps the run id.
+
+        **Run-ahead.**  A chain link's successor starts on the node the link
+        just freed.  When it runs through the bypass and its end is strictly
+        earlier than the heap root and the slot, that end is the event
+        :meth:`run` would pop next, and nothing is queued before the pop:
+        the link's handler has nothing left to do (one out-edge, an empty
+        queue, a drain check that returns at once on the busy node).  So the
+        end is handled here, in the same loop, by the same code, without
+        being queued: it draws no sequence number and counts in
+        ``events_processed``.
+        """
         node_state, unit, run_id = payload
         if run_id != node_state.run_id:
             # The node died while this task was on it (see
             # :meth:`_kill_running_task`).
             return
-        node_state.busy = False
-        unit.remaining_tasks -= 1
-        if unit.remaining_tasks == 0:
-            self._complete_unit(unit.state, unit, time_s)
-        if node_state.queue:
-            self._dispatch(node_state, time_s)
-        elif self._draining and node_state.node.name in self._draining:
-            self._maybe_complete_drain(node_state.node.name, time_s)
+        while True:
+            node_state.busy = False
+            unit.remaining_tasks -= 1
+            if unit.remaining_tasks == 0:
+                if unit.compiled.chain:
+                    unit = self._complete_link(unit.state, unit, node_state, time_s)
+                    if unit is not None:
+                        # Run ahead to the successor's end.  The node is busy
+                        # again and its queue empty, so the tail below would
+                        # do nothing.
+                        self._ran_ahead += 1
+                        time_s = node_state.node.available_at
+                        continue
+                else:
+                    self._complete_unit(unit.state, unit, time_s)
+            if node_state.queue:
+                self._dispatch(node_state, time_s)
+            elif self._draining and node_state.node.name in self._draining:
+                self._maybe_complete_drain(node_state.node.name, time_s)
+            return
+
+    def _complete_link(
+        self, state: _RequestState, unit: _Unit, node_state: "_NodeState", time_s: float
+    ) -> Optional[_Unit]:
+        """:meth:`_complete_unit` for a chain link, then :meth:`_start_unit`
+        for its successor: the same operations in the same order.  Returns
+        the successor when its end runs ahead (and so was not queued),
+        ``None`` otherwise."""
+        state.remaining_units -= 1
+        unit.completed = True
+        backlog = self._backlog
+        if backlog is not None:
+            for name, duration in unit.compiled.node_costs:
+                backlog[name] -= duration
+        if time_s > state.completion_s:
+            state.completion_s = time_s
+        successor = state.unit_list[unit.out_edges[0][2]]
+        successor.waiting -= 1
+        node, duration, label, _ = successor.tasks[0]
+        if self._memory_on:
+            ready_set = state.memory_ready
+            names = successor.compiled.task_nodes
+            if ready_set is None or names is None or not ready_set >= names:
+                self._start_unit(state, successor, time_s)
+                return None
+        if node_state.queue or (self._down_live and node.name in self._down_live):
+            self._start_unit(state, successor, time_s)
+            return None
+        successor.remaining_tasks = 1
+        if self._run_inline(state, successor, node, duration, label, node_state, time_s, True):
+            return successor
+        return None
 
     def _handle_task_end(
         self, time_s: float, payload: Tuple[_NodeState, List[_Task], int]

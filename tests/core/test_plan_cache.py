@@ -1,5 +1,7 @@
 """Tests for the plan cache: hit/miss accounting and invalidation-on-drift."""
 
+import pickle
+
 import pytest
 
 from repro.core.d3 import D3Config, D3System
@@ -30,6 +32,23 @@ class TestPlanKey:
         first = PlanKey.build("vgg16", get_condition("wifi"), config_key)
         second = PlanKey.build("vgg16", get_condition("wifi"), config_key)
         assert first == second and hash(first) == hash(second)
+
+    def test_hash_is_the_field_tuple_hash_cached(self):
+        key = PlanKey.build("vgg16", get_condition("wifi"), ("anything",), topology=(1, 2))
+        expected = hash((key.model, key.network, key.config, key.strategy, key.topology))
+        assert hash(key) == expected
+        assert key.__dict__["_hash"] == expected
+        assert hash(key) == expected
+
+    def test_pickled_key_carries_no_cached_hash(self):
+        """String hashes are salted per process: a hash cached in one
+        process is wrong in the next, so it must not travel."""
+        key = PlanKey.build("vgg16", get_condition("wifi"), ("anything",))
+        hash(key)
+        clone = pickle.loads(pickle.dumps(key))
+        assert "_hash" not in clone.__dict__
+        assert clone == key and hash(clone) == hash(key)
+        assert "_hash" in key.__dict__  # pickling left the original alone
 
 
 class TestCacheAccounting:
@@ -75,6 +94,156 @@ class TestCacheAccounting:
         assert report.repartitions == 1
         assert report.cache_hits == 4
         assert system.plan_cache.invalidations == 1
+
+
+def _fleet_system(**overrides):
+    config = dict(
+        topology="multi_device", network="wifi", use_regression=False, profiler_noise_std=0.0
+    )
+    config.update(overrides)
+    return D3System(D3Config(**config))
+
+
+def _static_stream():
+    system = D3System(D3Config(network="wifi", use_regression=False, profiler_noise_std=0.0))
+    return system, Workload.poisson("alexnet", 60, 8.8, seed=4), {}
+
+
+def _fleet_stream(**overrides):
+    system = _fleet_system(**overrides)
+    workload = Workload.poisson(
+        ["alexnet", "resnet18", "vgg16"],
+        45,
+        9.0,
+        seed=5,
+        sources=["device-0", "device-1", "device-2"],
+    )
+    return system, workload, {}
+
+
+def _drift_stream():
+    system, workload, _ = _static_stream()
+    samples = [(0.5 * step, (1.0, 3.0, 1.1, 0.3)[step % 4]) for step in range(16)]
+    return system, workload, {"trace": BandwidthTrace(base=get_condition("wifi"), samples=samples)}
+
+
+def _chaos_stream():
+    system, workload, _ = _fleet_stream()
+    return system, workload, {"faults": "chaos:2", "max_retries": 2}
+
+
+MEMO_STREAMS = {
+    "static": _static_stream,
+    "fleet": _fleet_stream,
+    "drift": _drift_stream,
+    "chaos": _chaos_stream,
+    "evicting": lambda: _fleet_stream(plan_cache_entries=2),
+}
+
+
+def _without_key_memo(original):
+    def plan_for(self, *args, **kwargs):
+        self._key_memo = None
+        return original(self, *args, **kwargs)
+
+    return plan_for
+
+
+def _cache_state(system):
+    """The cache's counters and key orders, graph tokens reduced to names
+    (a token carries the graph's id, which differs between systems)."""
+
+    def strip(key):
+        return (key.model.split("#")[0], key.network, key.strategy, key.topology)
+
+    cache = system.plan_cache
+    return (
+        cache.stats(),
+        [strip(key) for key in cache._entries],
+        [(model.split("#")[0], *rest) for model, *rest in cache._latest],
+    )
+
+
+class TestPlanKeyMemo:
+    @pytest.mark.parametrize("stream", sorted(MEMO_STREAMS))
+    def test_memo_leaves_the_cache_unchanged(self, stream):
+        states = []
+        for memo in (True, False):
+            system, workload, kwargs = MEMO_STREAMS[stream]()
+            with pytest.MonkeyPatch.context() as patch:
+                if not memo:
+                    patch.setattr(D3System, "_plan_for", _without_key_memo(D3System._plan_for))
+                report = system.serve(workload, **kwargs)
+            states.append((_cache_state(system), report.summary()))
+        assert states[0] == states[1]
+        stats = states[0][0][0]
+        assert stats["hits"] > 0
+        if stream == "evicting":
+            assert stats["evictions"] > 0
+        if stream == "drift":
+            assert stats["repartitions"] > 0 and stats["invalidations"] > 0
+
+    def test_traced_stream_keeps_one_slot_per_stream(self):
+        """A trace mints a condition per arrival: each replaces its stream's
+        slot, so the memo never grows with the number of arrivals."""
+        system, workload, kwargs = _drift_stream()
+        sizes, hits = [], []
+
+        def watch(original):
+            def plan_for(self, graph, condition, *args, **kwargs):
+                slots = [slot for slot in self._key_memo.values() if slot[2] is condition]
+                hits.append(bool(slots))
+                entry = original(self, graph, condition, *args, **kwargs)
+                sizes.append(len(self._key_memo))
+                return entry
+
+            return plan_for
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(D3System, "_plan_for", watch(D3System._plan_for))
+            system.serve(workload, **kwargs)
+        assert len(sizes) == len(workload.requests)
+        assert max(sizes) == 1  # one graph, one source, healthy deployment
+        assert not any(hits)  # every arrival brought a fresh condition
+        assert system._key_memo is None
+
+    def test_static_fleet_reuses_each_streams_key(self):
+        system, workload, kwargs = _fleet_stream()
+        keys = {}
+
+        def watch(original):
+            def plan_for(self, graph, condition, *args, **kwargs):
+                entry = original(self, graph, condition, *args, **kwargs)
+                source = kwargs.get("source")
+                slot = self._key_memo[(id(graph), id(args[0]), source, None)]
+                keys.setdefault((graph.name, source), set()).add(id(slot[3]))
+                return entry
+
+            return plan_for
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(D3System, "_plan_for", watch(D3System._plan_for))
+            system.serve(workload, **kwargs)
+        assert len(keys) == 9  # 3 models x 3 sources
+        assert all(len(ids) == 1 for ids in keys.values())
+
+    def test_degraded_plan_under_the_same_condition_object(self):
+        """One condition object planned for the healthy and a degraded
+        deployment must key on each deployment's own topology."""
+        system = _fleet_system()
+        graph = system.graph_for("alexnet")
+        strategy = system._strategy_for()
+        down = (frozenset({"edge-1"}), frozenset())
+        system._key_memo = {}
+        try:
+            healthy = system._plan_for(graph, system.network, strategy)
+            degraded = system._plan_for(graph, system.network, strategy, deployment=down)
+            again = system._plan_for(graph, system.network, strategy)
+        finally:
+            system._key_memo = None
+        assert healthy.key.topology != degraded.key.topology
+        assert again is healthy
+        assert len(system.plan_cache) == 2
 
 
 class TestInvalidationHook:
@@ -132,6 +301,26 @@ class TestRegressions:
         assert report.repartitions == cache.invalidations
         entry = cache.latest_for(*list(cache._latest)[0])
         assert entry.repartitioner.thresholds == cache.thresholds
+
+    def test_call_band_does_not_leak_into_later_calls(self, system):
+        """``serve(thresholds=...)`` sets the band for its own call only; a
+        later plain call judges drift with the band the cache had before
+        (the paper's [0.75, 1.25] by default)."""
+        wifi = get_condition("wifi")
+        workload = Workload.constant_rate("alexnet", num_requests=4, interval_s=0.6)
+        wide = RepartitionThresholds(lower=0.5, upper=1.5)
+        tolerated = BandwidthTrace(base=wifi, samples=[(0.0, 1.0), (0.9, 0.6)])
+        report = system.serve(workload, trace=tolerated, thresholds=wide)
+        assert report.repartitions == 0  # 0.6x is inside the wide band
+        cache = system.plan_cache
+        assert cache.thresholds == RepartitionThresholds()
+        assert all(
+            entry.repartitioner.thresholds == RepartitionThresholds()
+            for entry in cache._latest.values()
+        )
+        drifted = BandwidthTrace(base=wifi, samples=[(0.0, 1.0), (0.9, 0.65)])
+        report = system.serve(workload, trace=drifted)
+        assert report.repartitions == 1  # 0.65x leaves [0.75, 1.25]
 
     def test_listeners_do_not_accumulate_across_drifts(self, system, alexnet):
         """Repeated drift adaptations must not leave invalid alias entries

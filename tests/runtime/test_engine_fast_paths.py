@@ -10,6 +10,10 @@ Three pieces of bookkeeping replace work the engine used to redo:
 * **route-keyed link memo** — the wires a compiled plan touches are memoized
   per route revision, so a link or node fault re-routes the next read.
 
+* **chain run-ahead** — the end of a stage that a same-node chain link
+  started inline is handled inside its predecessor's handler while no other
+  event comes first, instead of taking a round-trip through the event queue.
+
 Each is held to a slow reference (``serving_reference.py``) or to the engine
 with the fast path forced off, over {FIFO, EDF} admission × {chaos faults
 with and without retries, weight caches, elastic joins and drains, a JSQ
@@ -346,3 +350,160 @@ class TestRouteKeyedLinkMemo:
             detour if 0.5 <= t < 1.3 else direct for t, _ in seen
         ]
         assert {direct, detour} <= {wires for _, wires in seen}
+
+
+def _without_run_ahead(original):
+    def reset(self):
+        original(self)
+        self._run_ahead = False
+
+    return reset
+
+
+@contextmanager
+def _run_ahead(on):
+    """Leave run-ahead on, or link no chains for the block."""
+    if on:
+        yield
+    else:
+        with _patched("_reset_run", _without_run_ahead):
+            yield
+
+
+def _counting_runs(runs):
+    """Record ``(events_processed, ends run ahead)`` of every reported run."""
+
+    def wrapper(original):
+        def build_report(self, workload_name, records):
+            runs.append((self.events_processed, self._ran_ahead))
+            return original(self, workload_name, records)
+
+        return build_report
+
+    return wrapper
+
+
+def _alexnet_stream():
+    system = _system(num_edge_nodes=4)
+    workload = Workload.poisson("alexnet", num_requests=300, rate_rps=8.8, seed=11)
+    return system, workload, {}
+
+
+AHEAD_CELLS = CELLS + [("alexnet-stream", None)]
+
+
+@lru_cache(maxsize=None)
+def _ahead_runs(cell):
+    """``(report, (events, ran ahead))`` with run-ahead on, then off."""
+    scenario, scheduler = cell
+    results = []
+    for ahead in (True, False):
+        if scheduler is None:
+            system, workload, kwargs = _alexnet_stream()
+        else:
+            system, workload, kwargs = SCENARIOS[scenario]()
+            kwargs = dict(kwargs, scheduler=SCHEDULERS[scheduler]())
+        runs = []
+        with _patched("build_report", _counting_runs(runs)), _run_ahead(ahead):
+            report = system.serve(workload, **kwargs)
+        assert len(runs) == 1
+        results.append((report, runs[0]))
+    return results
+
+
+def _simulate(system, requests, ahead=True, **kwargs):
+    """One direct engine run: ``(report, simulator)``."""
+    simulator = ServingSimulator(system.cluster, **kwargs)
+    with _run_ahead(ahead):
+        records = simulator.run(requests)
+    return simulator.build_report("direct", records), simulator
+
+
+def _chain_event(report, label):
+    (event,) = [e for e in report.records[0].report.events if e.label == label]
+    return event
+
+
+class TestChainRunAhead:
+    @pytest.mark.parametrize("cell", AHEAD_CELLS, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_run_ahead_is_invisible(self, cell):
+        (report, (events, ahead)), (off, (off_events, off_ahead)) = _ahead_runs(cell)
+        assert serialize_report(report) == serialize_report(off)
+        assert report.summary() == off.summary()
+        assert report.batch_occupancy == off.batch_occupancy
+        assert events == off_events
+        assert off_ahead == 0
+
+    @pytest.mark.parametrize("cell", AHEAD_CELLS, ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_run_ahead_fires_on_every_statically_bound_run(self, cell):
+        (report, (events, ahead)), _ = _ahead_runs(cell)
+        if cell[0] in ("elastic", "jsq"):
+            # A balancer binds edge stages to the replica group, and
+            # group-bound stages never link.
+            assert ahead == 0
+        else:
+            assert 0 < ahead < events
+
+    def test_alexnet_stream_runs_most_chain_ends_ahead(self):
+        (report, (events, ahead)), _ = _ahead_runs(("alexnet-stream", None))
+        assert report.num_completed == report.num_requests
+        # Four chain links per request (flatten -> fc1 -> fc2 -> fc3 ->
+        # softmax after the tiled convolutions), and with the edge node at
+        # rho ~0.1 nearly every one of them runs ahead.
+        assert 3.5 * report.num_requests < ahead <= 4 * report.num_requests
+
+    def test_an_arrival_on_a_chain_end_goes_first(self):
+        """A request arriving exactly when a chain stage ends sorts before
+        that end (its sequence number is lower), so the end must not run
+        ahead of it."""
+        system = _system()
+        alone, simulator = _simulate(system, _planned(system, "alexnet", [0.0]))
+        fc2 = _chain_event(alone, "fc2")
+        assert simulator._ran_ahead == 12, "fc2's end no longer runs ahead when alone"
+        requests = _planned(system, "alexnet", [0.0, fc2.end_s])
+        order = []
+
+        def spy_arrival(original):
+            def handle(self, time_s, request):
+                order.append(("arrival", time_s))
+                return original(self, time_s, request)
+
+            return handle
+
+        def spy_end(original):
+            def handle(self, time_s, payload):
+                order.append((payload[1].compiled.vertices[0].name, time_s))
+                return original(self, time_s, payload)
+
+            return handle
+
+        with _patched("_handle_arrival", spy_arrival), _patched(
+            "_handle_task_end_direct", spy_end
+        ):
+            report, simulator = _simulate(system, requests)
+        tied = [entry for entry in order if entry[1] == fc2.end_s]
+        assert tied[:2] == [("arrival", fc2.end_s), ("fc2", fc2.end_s)]
+        assert simulator._ran_ahead < 2 * 12
+        off, _ = _simulate(system, requests, ahead=False)
+        assert serialize_report(report) == serialize_report(off)
+
+    def test_a_node_fault_inside_a_run_ahead_window(self):
+        """edge-0 dies during fc2, inside the flatten..softmax chain: fc1
+        still runs ahead, fc2's end does not (the fault comes first), the
+        fault cuts its row short and the retry completes elsewhere."""
+        system = _system(num_edge_nodes=2)
+        requests = _planned(system, "alexnet", [0.0])
+        alone, healthy = _simulate(system, requests)
+        fc2 = _chain_event(alone, "fc2")
+        assert fc2.node == "edge-0"
+        death_s = (fc2.start_s + fc2.end_s) / 2
+        faults = FaultSchedule([NodeDown(death_s, "edge-0"), NodeUp(60.0, "edge-0")])
+        report, simulator = _simulate(system, requests, faults=faults)
+        off, off_simulator = _simulate(system, requests, ahead=False, faults=faults)
+        assert serialize_report(report) == serialize_report(off)
+        assert simulator.events_processed == off_simulator.events_processed
+        assert simulator._ran_ahead > 0 and off_simulator._ran_ahead == 0
+        record = report.records[0]
+        assert record.completed and record.retries == 1
+        cut = [e for e in record.report.events if e.label == "fc2" and e.node == "edge-0"]
+        assert cut and cut[0].end_s == death_s
