@@ -22,15 +22,16 @@ cut whenever conditions change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.placement import PlacementPlan, PlanEvaluator, PlanMetrics, Tier
 from repro.core.strategy import ClusterSpec, PartitionPlan, register_strategy
 from repro.graph.dag import DnnGraph
 from repro.network.conditions import NetworkCondition
 from repro.profiling.profiler import LatencyProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 _SOURCE = "__edge_source__"
 _SINK = "__cloud_sink__"
@@ -99,6 +100,8 @@ class DadsPartitioner:
 
     def build_flow_network(self, graph: DnnGraph) -> "nx.DiGraph":
         """Construct the auxiliary flow network described above."""
+        import networkx as nx
+
         flow = nx.DiGraph()
         for vertex in graph:
             flow.add_edge(_SOURCE, vertex.index, capacity=self._vertex_score(vertex, Tier.CLOUD))
@@ -114,6 +117,8 @@ class DadsPartitioner:
 
     def partition(self, graph: DnnGraph) -> DadsResult:
         """Solve the min cut and return the induced placement plan."""
+        import networkx as nx
+
         flow = self.build_flow_network(graph)
         cut_value, (edge_side, cloud_side) = nx.minimum_cut(flow, _SOURCE, _SINK)
         edge_vertices = {v for v in edge_side if isinstance(v, int)}

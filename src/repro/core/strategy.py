@@ -215,14 +215,19 @@ def register_strategy(
 
 
 def get_strategy(name: str) -> PartitionStrategy:
-    """Instantiate the registered strategy called ``name``."""
-    _ensure_builtin_strategies()
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise UnknownStrategyError(
-            f"unknown method {name!r}; available: {', '.join(available_strategies())}"
-        ) from None
+    """Instantiate the registered strategy called ``name``.
+
+    A registered name resolves without loading the baselines, so serving
+    with D3's own methods never imports :mod:`repro.baselines`.
+    """
+    factory = _REGISTRY.get(name)
+    if factory is None:
+        _ensure_builtin_strategies()
+        factory = _REGISTRY.get(name)
+        if factory is None:
+            raise UnknownStrategyError(
+                f"unknown method {name!r}; available: {', '.join(available_strategies())}"
+            )
     return factory()
 
 
@@ -237,12 +242,17 @@ def _ensure_builtin_strategies() -> None:
 
     The baseline adapters live next to their algorithms in
     :mod:`repro.baselines`; importing them lazily here keeps this module free
-    of package-level circular imports while guaranteeing the registry is fully
-    populated the first time anyone consults it.
+    of package-level circular imports and keeps the baselines out of a
+    process that only serves D3's own methods.  A name registered before the
+    baselines load keeps its factory: a test double is not overwritten by a
+    later lazy import.
     """
+    registered = dict(_REGISTRY)
     import repro.baselines.single_tier  # noqa: F401
     import repro.baselines.neurosurgeon  # noqa: F401
     import repro.baselines.dads  # noqa: F401
+
+    _REGISTRY.update(registered)
 
 
 # --------------------------------------------------------------------------- #

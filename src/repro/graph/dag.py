@@ -17,12 +17,13 @@ The class also provides the graph analytics HPA needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.layers import InputLayer, LayerSpec
 from repro.graph.shapes import Shape, element_count, tensor_bytes
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 class GraphError(ValueError):
@@ -299,7 +300,13 @@ class DnnGraph:
     # Interop / export
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> "nx.DiGraph":
-        """Export to a :class:`networkx.DiGraph` (used by the DADS baseline)."""
+        """Export to a :class:`networkx.DiGraph` for ad-hoc analysis.
+
+        networkx is imported here, on first use: nothing in planning or
+        serving needs it.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for vertex in self._vertices:
             graph.add_node(
@@ -318,17 +325,37 @@ class DnnGraph:
         """Validate the structural invariants of the graph.
 
         Raises :class:`GraphError` if the graph has no input vertex, contains a
-        cycle (impossible by construction, checked defensively), or has more
-        than one connected output that is not reachable from ``v0``.
+        cycle (impossible by construction, checked defensively), or has
+        vertices that are not reachable from ``v0``.  Both checks walk the
+        successor lists once: Kahn's algorithm for the cycle, a depth-first
+        search from ``v0`` for reachability.
         """
         if not self._vertices:
             raise GraphError("graph is empty")
         if not isinstance(self._vertices[0].spec, InputLayer):
             raise GraphError("first vertex must be the virtual input vertex")
-        graph = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(graph):
+        succs = self._succs
+        indegree = [0] * len(self._vertices)
+        for dests in succs.values():
+            for dst in dests:
+                indegree[dst] += 1
+        ready = [index for index, count in enumerate(indegree) if not count]
+        removed = 0
+        while ready:
+            removed += 1
+            for dst in succs[ready.pop()]:
+                indegree[dst] -= 1
+                if not indegree[dst]:
+                    ready.append(dst)
+        if removed != len(indegree):
             raise GraphError("graph contains a cycle")
-        reachable = nx.descendants(graph, 0) | {0}
+        reachable = {0}
+        stack = [0]
+        while stack:
+            for dst in succs[stack.pop()]:
+                if dst not in reachable:
+                    reachable.add(dst)
+                    stack.append(dst)
         if len(reachable) != len(self._vertices):
             unreachable = [v.name for v in self._vertices if v.index not in reachable]
             raise GraphError(f"vertices unreachable from the input: {unreachable}")

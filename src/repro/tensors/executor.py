@@ -10,6 +10,7 @@ see exactly the same parameters.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,8 +40,10 @@ class WeightStore:
     """Deterministic per-layer weight provider.
 
     Weights for layer ``name`` are drawn from a generator seeded by
-    ``(seed, hash(name))`` so that any process — or any simulated node holding
-    only a partition of the graph — reconstructs identical parameters.
+    ``(seed, crc32(name))`` so that any process — or any simulated node
+    holding only a partition of the graph — reconstructs identical
+    parameters.  The CRC-32 digest does not depend on ``PYTHONHASHSEED``,
+    unlike :func:`hash`, whose string values are salted per process.
     """
 
     def __init__(self, seed: int = 0, scale: float = 0.1) -> None:
@@ -49,8 +52,7 @@ class WeightStore:
         self._cache: Dict[str, Dict[str, np.ndarray]] = {}
 
     def _rng(self, name: str) -> np.random.Generator:
-        name_seed = abs(hash(name)) % (2**31)
-        return np.random.default_rng((self.seed, name_seed))
+        return np.random.default_rng((self.seed, zlib.crc32(name.encode())))
 
     def conv_weights(self, name: str, spec: Conv2d, in_channels: int) -> Dict[str, np.ndarray]:
         """Filters and bias for a convolution layer."""
