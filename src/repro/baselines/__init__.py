@@ -7,7 +7,9 @@
 * :mod:`repro.baselines.dads` — DADS (Hu et al., INFOCOM'19): the optimal
   two-way edge/cloud partition of a DAG DNN found with a min-cut;
 * :mod:`repro.baselines.deepthings` — DeepThings-style fused tile partition
-  (FTP) with overlapping tiles, used as the ablation reference for VSM.
+  (FTP) with overlapping tiles, used as the ablation reference for VSM.  It
+  is not re-exported here: it pulls in :mod:`repro.tensors`, which no
+  partitioning strategy needs.
 """
 
 from repro.baselines.single_tier import SingleTierBaseline, SingleTierStrategy, single_tier_plan
@@ -17,17 +19,14 @@ from repro.baselines.neurosurgeon import (
     NeurosurgeonStrategy,
 )
 from repro.baselines.dads import DadsPartitioner, DadsResult, DadsStrategy
-from repro.baselines.deepthings import FusedTilePartition, OverlapTilingStats
 
 __all__ = [
     "DadsPartitioner",
     "DadsResult",
     "DadsStrategy",
-    "FusedTilePartition",
     "NeurosurgeonPartitioner",
     "NeurosurgeonResult",
     "NeurosurgeonStrategy",
-    "OverlapTilingStats",
     "SingleTierBaseline",
     "SingleTierStrategy",
     "single_tier_plan",

@@ -14,11 +14,6 @@ Three subcommands cover the repository's entry points:
 ``repro scenario``
     Regenerate a named paper artefact (``fig09``, ``table02``, ...) or the
     serving rate sweep, printing the same tables the benchmarks assert on.
-
-``repro bench``
-    Performance benchmarks: ``repro bench engine`` measures the serving
-    engine's events/sec, requests/sec, wall time and peak RSS per scheduler
-    and maintains the committed ``BENCH_engine.json`` trajectory.
 """
 
 from __future__ import annotations
@@ -290,19 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario = subparsers.add_parser("scenario", help="regenerate a named paper artefact")
     scenario.add_argument("name", choices=SCENARIO_NAMES, help="scenario to run")
 
-    bench = subparsers.add_parser(
-        "bench", help="performance benchmarks (wall-clock, not correctness)"
-    )
-    bench.add_argument(
-        "target",
-        choices=("engine",),
-        help="what to benchmark (engine: the serving simulator's hot loop)",
-    )
-    bench.add_argument(
-        "bench_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to the benchmark (see `repro bench engine --help`)",
-    )
     return parser
 
 
@@ -473,12 +455,6 @@ def _command_scenario(args) -> int:
     return 0
 
 
-def _command_bench(args) -> int:
-    from repro.benchmarks import engine as engine_bench
-
-    return engine_bench.main(args.bench_args)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -489,7 +465,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": _command_run,
         "serve": _command_serve,
         "scenario": _command_scenario,
-        "bench": _command_bench,
     }
     try:
         return handlers[args.command](args)

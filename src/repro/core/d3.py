@@ -649,7 +649,7 @@ class D3System:
         """Plan every request of ``workload`` into simulator-ready form.
 
         The exact planning pass :meth:`serve` runs (plan cache, traces,
-        per-arrival conditions) without the simulation — benchmark harnesses
+        per-arrival conditions) without the simulation — benchmark scripts
         use it to price a workload once and then drive
         :class:`ServingSimulator` directly, so engine timings measure the
         engine rather than the planner.  ``memory`` applies the same

@@ -391,8 +391,8 @@ class MemoryModel:
     warm:
         When true, first-touch loads are free (weights staged onto every
         node before traffic, as a deployment step): caches and counters run
-        but no cold-start latency is charged.  Used by the engine benchmark
-        to price the cache machinery alone.
+        but no cold-start latency is charged.  ``benchmarks/overhead.py``
+        uses it to price the cache machinery alone.
     """
 
     budget_gb: Optional[float] = None

@@ -128,8 +128,8 @@ class _AdaptiveGate:
     the sampling stride doubles (up to ``MAX_STRIDE``); any real update snaps
     it back to 1.  A stationary workload therefore pays for 1 batch in 64
     while a regime change is noticed within at most ``MAX_STRIDE - 1``
-    skipped batches — bounded staleness, and what keeps the calibrated hot
-    path inside the engine bench's <10% overhead budget.
+    skipped batches — bounded staleness, and what holds the calibrated
+    cell of ``benchmarks/overhead.py`` to a few percent over FIFO.
     """
 
     __slots__ = ("tick", "stride", "quiet")

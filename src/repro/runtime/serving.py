@@ -1104,8 +1104,8 @@ class ServingSimulator:
         """Fresh per-run state: called at construction and by every
         :meth:`run` (the cluster itself is reset by :meth:`run` only)."""
         self.failover_replans = 0
-        #: Events popped off the queue by the last :meth:`run` (the
-        #: benchmark harness's throughput denominator).
+        #: Events popped off the queue by the last :meth:`run` (d3bench's
+        #: ``serving.events`` metric).
         self.events_processed = 0
         #: Dispatch-size histogram and multi-member batch log of the last run.
         self.batch_occupancy: Dict[int, int] = {}

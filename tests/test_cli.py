@@ -20,6 +20,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "fig99"])
 
+    def test_bench_is_not_a_command(self):
+        # Performance lives in benchmarks/ (d3bench and overhead.py).
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "engine"])
+
 
 class TestCommands:
     def test_run_command(self, capsys):

@@ -140,6 +140,8 @@ class TestServingWithoutNetworkx:
             "from repro.core.strategy import available_strategies",
             f"assert available_strategies() == {BUILTIN_ORDER!r}",
             "assert 'networkx' not in sys.modules",
+            "assert 'repro.baselines.deepthings' not in sys.modules",
+            "assert 'repro.tensors' not in sys.modules",
             "print('footprint ok')",
         )
         _assert_ok(result)
