@@ -8,7 +8,7 @@ every terminal status, in order, at full float precision — into a JSON
 document that is committed as a fixture and diffed exactly by
 ``tests/runtime/test_golden_traces.py``.
 
-Seven canonical workloads are pinned (:data:`GOLDEN_SCENARIOS`):
+Eight canonical workloads are pinned (:data:`GOLDEN_SCENARIOS`):
 
 ``steady``
     A Poisson AlexNet stream on the canonical three-tier testbed — the
@@ -39,6 +39,10 @@ Seven canonical workloads are pinned (:data:`GOLDEN_SCENARIOS`):
     earliest-deadline-first dispatch and SLO admission control, under a
     seeded chaos fault schedule with failover retries — pins shedding at
     the door, deadline-ordered queues and failover on the same run.
+``batch``
+    An AlexNet burst under dynamic micro-batching — pins the batch
+    scheduler's coalescing and flush timing, the ``batch[n]:`` timeline
+    labels every member records and the run's :class:`BatchRecord` log.
 
 Regenerate after an *intentional* behaviour change with::
 
@@ -55,7 +59,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.runtime.serving import RequestRecord, ServingReport
+from repro.runtime.serving import BatchRecord, RequestRecord, ServingReport
 
 #: Default fixture directory, relative to the repository root.
 GOLDENS_DIR = Path("tests") / "runtime" / "goldens"
@@ -181,6 +185,19 @@ def _admission_report() -> ServingReport:
     return system.serve(workload, scheduler="edf", faults="chaos:2", max_retries=2)
 
 
+def _batch_report() -> ServingReport:
+    from repro.core.d3 import D3Config, D3System
+    from repro.runtime.workload import Workload
+
+    system = D3System(
+        D3Config(network="wifi", num_edge_nodes=4, use_regression=False, profiler_noise_std=0.0)
+    )
+    # 120 rps is ten times the steady fixture's rate: same-layer tasks meet
+    # in the ready-queues, so batches of two and three form.
+    workload = Workload.poisson("alexnet", num_requests=24, rate_rps=120.0, seed=1)
+    return system.serve(workload, scheduler="batch")
+
+
 #: name -> report builder; every entry becomes one committed fixture.
 GOLDEN_SCENARIOS: Dict[str, Callable[[], ServingReport]] = {
     "steady": _steady_report,
@@ -190,6 +207,7 @@ GOLDEN_SCENARIOS: Dict[str, Callable[[], ServingReport]] = {
     "multimodel": _multimodel_report,
     "adaptation": _adaptation_report,
     "admission": _admission_report,
+    "batch": _batch_report,
 }
 
 
@@ -232,11 +250,25 @@ def serialize_record(record: RequestRecord) -> dict:
     }
 
 
+def serialize_batch(batch: BatchRecord) -> dict:
+    """One micro-batch dispatch as a JSON-ready dict (exact floats)."""
+    return {
+        "node": batch.node,
+        "label": batch.label,
+        "size": batch.size,
+        "start_s": batch.start_s,
+        "end_s": batch.end_s,
+        "longest_solo_s": batch.longest_solo_s,
+        "total_solo_s": batch.total_solo_s,
+    }
+
+
 def serialize_report(report: ServingReport) -> dict:
     """A serving report's complete observable behaviour as a JSON document.
 
     The ``memory`` block is emitted only when the run actually exercised the
-    weight caches, so pre-memory fixtures stay byte-for-byte unchanged.
+    weight caches, and the ``batches`` block only when it formed a batch, so
+    older fixtures stay byte-for-byte unchanged.
     """
     document = {
         "workload": report.workload_name,
@@ -252,6 +284,8 @@ def serialize_report(report: ServingReport) -> dict:
         "link_down_s": dict(sorted(report.link_down_s.items())),
         "records": [serialize_record(record) for record in report.records],
     }
+    if report.batches:
+        document["batches"] = [serialize_batch(batch) for batch in report.batches]
     if report.cold_starts or report.weight_cache_misses or report.weight_cache_hits:
         document["memory"] = {
             "cold_starts": report.cold_starts,

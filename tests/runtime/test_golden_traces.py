@@ -133,6 +133,18 @@ class TestGoldenTraces:
         )
         assert admission["node_down_s"], "admission fixture no longer injects downtime"
         assert "memory" not in admission
+        batch = traces["batch"]
+        assert any(b["size"] > 1 for b in batch.get("batches", [])), (
+            "batch fixture no longer forms a batch larger than 1"
+        )
+        assert any(
+            e["label"].startswith("batch[")
+            for r in batch["records"]
+            for e in r["events"]
+        ), "batch fixture no longer records batch[n]: timeline labels"
+        assert all(
+            "batches" not in traces[name] for name in GOLDEN_SCENARIOS if name != "batch"
+        ), "an unbatched fixture grew a batches block"
 
 
 class TestRegeneration:
