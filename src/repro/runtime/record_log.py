@@ -2,11 +2,18 @@
 
 In record mode the engine keeps every request's timeline and outcome.  It
 does not keep them as per-request objects: one :class:`RecordLog` per run
-holds every event and every transfer as flat parallel columns (``array``
-columns for the numbers, lists of the shared strings for the rest) plus one
-tuple of atoms per retired request.  A finished run therefore retains a
+holds every event and every transfer as flat parallel ``array`` columns plus
+one tuple of atoms per retired request.  A finished run therefore retains a
 fixed number of container objects however many requests it served, so the
 cyclic GC has nothing per request to walk.
+
+A row is split into a *template*, its constant part, and its times.  An
+event's template is ``(node, tier value, label, kind)``; a transfer's is
+``(producer, consumer, source tier value, destination tier value,
+payload_bytes)``.  A run has only a few dozen distinct templates, so each is
+interned once into :attr:`RecordLog.templates` and a row stores its integer
+id: the engine interns while it compiles a plan and writes four numbers per
+row on the hot path.  A template id is valid only within its own log.
 
 Rows are keyed by the engine's *arrival slot* (the order in which requests
 arrived), not by ``ServingRequest.index``: indices may repeat when the
@@ -26,7 +33,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.runtime.simulator import ExecutionReport
 
@@ -90,19 +97,14 @@ class RecordLog(Sequence):
     """One run's timelines and outcomes as columns; records built on read."""
 
     __slots__ = (
+        "templates",
+        "_template_ids",
         "event_slot",
-        "event_node",
-        "event_tier",
-        "event_label",
-        "event_kind",
+        "event_template",
         "event_start",
         "event_end",
         "transfer_slot",
-        "transfer_producer",
-        "transfer_consumer",
-        "transfer_source",
-        "transfer_destination",
-        "transfer_payload",
+        "transfer_template",
         "transfer_start",
         "transfer_duration",
         "retired",
@@ -110,23 +112,21 @@ class RecordLog(Sequence):
     )
 
     def __init__(self) -> None:
-        # One entry per event: ``(node, tier value, label, kind, start_s,
-        # end_s)`` of an :data:`~repro.runtime.simulator.EventRow`.
-        self.event_slot = array("q")
-        self.event_node: List[str] = []
-        self.event_tier: List[str] = []
-        self.event_label: List[str] = []
-        self.event_kind: List[str] = []
+        #: Interned row templates: the constant part of an
+        #: :data:`~repro.runtime.simulator.EventRow` (a 4-tuple) or of a
+        #: :data:`~repro.runtime.simulator.TransferRow` (a 5-tuple), indexed
+        #: by template id.
+        self.templates: List[tuple] = []
+        self._template_ids: Dict[tuple, int] = {}
+        # One entry per event: its arrival slot, template id and times.
+        # Four-byte ints: ``array`` raises OverflowError rather than wrap.
+        self.event_slot = array("i")
+        self.event_template = array("i")
         self.event_start = array("d")
         self.event_end = array("d")
-        # One entry per transfer: the columns of a
-        # :data:`~repro.runtime.simulator.TransferRow`.
-        self.transfer_slot = array("q")
-        self.transfer_producer: List[str] = []
-        self.transfer_consumer: List[str] = []
-        self.transfer_source: List[str] = []
-        self.transfer_destination: List[str] = []
-        self.transfer_payload = array("q")
+        # One entry per transfer, the same way.
+        self.transfer_slot = array("i")
+        self.transfer_template = array("i")
         self.transfer_start = array("d")
         self.transfer_duration = array("d")
         #: One tuple of atoms per retired request, in retirement order:
@@ -138,6 +138,34 @@ class RecordLog(Sequence):
     # ------------------------------------------------------------------ #
     # Write side (the engine, while the run is in progress)
     # ------------------------------------------------------------------ #
+    def intern(self, template: tuple) -> int:
+        """The id of ``template`` in this log, interning it on first sight."""
+        ids = self._template_ids
+        template_id = ids.get(template)
+        if template_id is None:
+            template_id = ids[template] = len(self.templates)
+            self.templates.append(template)
+        return template_id
+
+    def event_row(self, slot: int, template: int, start_s: float, end_s: float) -> int:
+        """Append one timeline event by template id; returns its position
+        for :meth:`truncate`."""
+        self.event_slot.append(slot)
+        self.event_template.append(template)
+        self.event_start.append(start_s)
+        end = self.event_end
+        end.append(end_s)
+        return len(end) - 1
+
+    def transfer_row(
+        self, slot: int, template: int, start_s: float, duration_s: float
+    ) -> None:
+        """Append one tensor transfer by template id."""
+        self.transfer_slot.append(slot)
+        self.transfer_template.append(template)
+        self.transfer_start.append(start_s)
+        self.transfer_duration.append(duration_s)
+
     def event(
         self,
         slot: int,
@@ -149,15 +177,7 @@ class RecordLog(Sequence):
         end_s: float,
     ) -> int:
         """Append one timeline event; returns its position for :meth:`truncate`."""
-        self.event_slot.append(slot)
-        self.event_node.append(node)
-        self.event_tier.append(tier)
-        self.event_label.append(label)
-        self.event_kind.append(kind)
-        self.event_start.append(start_s)
-        end = self.event_end
-        end.append(end_s)
-        return len(end) - 1
+        return self.event_row(slot, self.intern((node, tier, label, kind)), start_s, end_s)
 
     def transfer(
         self,
@@ -171,14 +191,12 @@ class RecordLog(Sequence):
         duration_s: float,
     ) -> None:
         """Append one tensor transfer."""
-        self.transfer_slot.append(slot)
-        self.transfer_producer.append(producer)
-        self.transfer_consumer.append(consumer)
-        self.transfer_source.append(source)
-        self.transfer_destination.append(destination)
-        self.transfer_payload.append(payload_bytes)
-        self.transfer_start.append(start_s)
-        self.transfer_duration.append(duration_s)
+        self.transfer_row(
+            slot,
+            self.intern((producer, consumer, source, destination, payload_bytes)),
+            start_s,
+            duration_s,
+        )
 
     def truncate(self, position: int, time_s: float) -> None:
         """Cut the event at ``position`` short at ``time_s`` (its node died)."""
@@ -247,33 +265,20 @@ class RecordLog(Sequence):
             return records
         # Slots are dense arrival positions and every arrival retires once.
         count = len(self.retired)
+        templates = self.templates
         event_rows: List[list] = [[] for _ in range(count)]
-        for slot, row in zip(
-            self.event_slot,
-            zip(
-                self.event_node,
-                self.event_tier,
-                self.event_label,
-                self.event_kind,
-                self.event_start,
-                self.event_end,
-            ),
+        for slot, template, start_s, end_s in zip(
+            self.event_slot, self.event_template, self.event_start, self.event_end
         ):
-            event_rows[slot].append(row)
+            event_rows[slot].append(templates[template] + (start_s, end_s))
         transfer_rows: List[list] = [[] for _ in range(count)]
-        for slot, row in zip(
+        for slot, template, start_s, duration_s in zip(
             self.transfer_slot,
-            zip(
-                self.transfer_producer,
-                self.transfer_consumer,
-                self.transfer_source,
-                self.transfer_destination,
-                self.transfer_payload,
-                self.transfer_start,
-                self.transfer_duration,
-            ),
+            self.transfer_template,
+            self.transfer_start,
+            self.transfer_duration,
         ):
-            transfer_rows[slot].append(row)
+            transfer_rows[slot].append(templates[template] + (start_s, duration_s))
         records = []
         for (
             slot,

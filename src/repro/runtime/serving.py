@@ -618,6 +618,7 @@ class _CompiledUnit:
         "node_costs",
         "out_edges",
         "gather_label",
+        "gather_template",
         "task_nodes",
         "chain",
     )
@@ -633,10 +634,11 @@ class _CompiledUnit:
         self.waiting = 0
         self.exec_nodes: List[ComputeNode] = []
         self.home_node: Optional[ComputeNode] = None
-        #: ``[(node, solo duration, label, node state)]`` — one entry per
-        #: compute task, carrying the engine's per-node queue directly so
-        #: enqueueing skips the name lookup.
-        self.tasks: List[Tuple[ComputeNode, float, str, "_NodeState"]] = []
+        #: ``[(node, solo duration, label, node state, template id)]`` — one
+        #: entry per compute task, carrying the engine's per-node queue
+        #: directly so enqueueing skips the name lookup, and the id of its
+        #: event row's template in the run's record log (0 in stream mode).
+        self.tasks: List[Tuple[ComputeNode, float, str, "_NodeState", int]] = []
         #: Group-bound stages only: ``[(raw profile duration, label)]`` —
         #: the member (and its speed factor) is chosen per request by the
         #: balancer, so pricing happens at resolution time.  ``None`` for
@@ -658,12 +660,14 @@ class _CompiledUnit:
         #: member — and so their node — is chosen per request).
         self.task_nodes: Optional[FrozenSet[str]] = None
         #: Cross-unit data dependencies, in delivery order: ``[(producer
-        #: vertex, consumer vertex, consumer unit position, same-node?)]``.
-        #: Same-node edges are free (the paper's intra-tier assumption) and
-        #: the flag is a compile-time constant, so completion delivers them
-        #: without touching the transfer machinery.
-        self.out_edges: List[Tuple[Vertex, Vertex, int, bool]] = []
+        #: vertex, consumer vertex, consumer unit position, same-node?,
+        #: transfer template id)]``.  Same-node edges are free (the paper's
+        #: intra-tier assumption) and the flag is a compile-time constant,
+        #: so completion delivers them without touching the transfer
+        #: machinery.
+        self.out_edges: List[Tuple[Vertex, Vertex, int, bool, int]] = []
         self.gather_label: Optional[str] = None
+        self.gather_template = 0
         #: A *chain link*: this statically bound solo stage's one out-edge is
         #: the only input of a single-task solo stage on the same node, so
         #: completing it starts the successor on the node it just freed.
@@ -881,7 +885,7 @@ class _Task:
     scheduler's tombstone set needs.
     """
 
-    __slots__ = ("unit", "node", "duration_s", "label", "epoch", "enqueued_s")
+    __slots__ = ("unit", "node", "duration_s", "label", "template", "epoch", "enqueued_s")
 
     def __init__(
         self,
@@ -889,6 +893,7 @@ class _Task:
         node: ComputeNode,
         duration_s: float,
         label: str,
+        template: int,
         epoch: int = 0,
         enqueued_s: float = 0.0,
     ) -> None:
@@ -896,6 +901,8 @@ class _Task:
         self.node = node
         self.duration_s = duration_s
         self.label = label
+        #: The id of the task's event template in the run's record log.
+        self.template = template
         #: The owning request's attempt the task belongs to; a mismatch at
         #: dispatch/completion time means the attempt was aborted.
         self.epoch = epoch
@@ -1637,7 +1644,7 @@ class ServingSimulator:
         links: Dict[int, SharedLink] = {}
         unit_list = state.unit_list
         for unit in unit_list:
-            for _, _, dst_pos, local in unit.out_edges:
+            for _, _, dst_pos, local, _ in unit.out_edges:
                 if local:
                     continue
                 src, dst = unit.home_node, unit_list[dst_pos].home_node
@@ -1861,7 +1868,9 @@ class ServingSimulator:
                     unit.waiting += 1
 
         # Outgoing cross-unit edges, in the historical delivery order
-        # (member vertices in unit order, then graph successors).
+        # (member vertices in unit order, then graph successors).  Record
+        # mode interns every row template here, once per compiled plan.
+        log = self._log
         for unit in units:
             for vertex in unit.vertices:
                 for successor in graph.successors(vertex.index):
@@ -1873,6 +1882,17 @@ class ServingSimulator:
                                 successor,
                                 successor_unit.pos,
                                 unit.home_node is successor_unit.home_node,
+                                0
+                                if log is None
+                                else log.intern(
+                                    (
+                                        vertex.name,
+                                        successor.name,
+                                        unit.tier_value,
+                                        successor_unit.tier_value,
+                                        vertex.output_bytes,
+                                    )
+                                ),
                             )
                         )
 
@@ -1890,7 +1910,15 @@ class ServingSimulator:
                 node = unit.exec_nodes[0]
                 duration = profile.get(vertex.index, unit.tier)
                 unit.tasks.append(
-                    (node, duration / node.speed_factor, vertex.name, self._nodes[node.name])
+                    (
+                        node,
+                        duration / node.speed_factor,
+                        vertex.name,
+                        self._nodes[node.name],
+                        0 if log is None else log.intern(
+                            (node.name, unit.tier_value, vertex.name, "compute")
+                        ),
+                    )
                 )
             else:
                 run = unit.run
@@ -1907,10 +1935,22 @@ class ServingSimulator:
                         f"{run.vertices[0].name}..{run.vertices[-1].name}"
                     )
                     unit.tasks.append(
-                        (node, duration / node.speed_factor, label, self._nodes[node.name])
+                        (
+                            node,
+                            duration / node.speed_factor,
+                            label,
+                            self._nodes[node.name],
+                            0 if log is None else log.intern(
+                                (node.name, unit.tier_value, label, "compute")
+                            ),
+                        )
                     )
                 unit.gather_label = f"gather:{unit.vertices[-1].name}"
-            unit.node_costs = [(node.name, cost) for node, cost, _, _ in unit.tasks]
+                if log is not None:
+                    unit.gather_template = log.intern(
+                        (unit.home_node.name, Tier.EDGE.value, unit.gather_label, "gather")
+                    )
+            unit.node_costs = [(node.name, cost) for node, cost, *_ in unit.tasks]
 
         if self._run_ahead:
             # Chain links (see ``_CompiledUnit.chain``).  Group-bound stages
@@ -1919,7 +1959,7 @@ class ServingSimulator:
             for unit in units:
                 if len(unit.tasks) != 1 or unit.run is not None or len(unit.out_edges) != 1:
                     continue
-                _, _, dst_pos, local = unit.out_edges[0]
+                _, _, dst_pos, local, _ = unit.out_edges[0]
                 successor = units[dst_pos]
                 unit.chain = (
                     local
@@ -2033,7 +2073,7 @@ class ServingSimulator:
         push = heapq.heappush
         direct = self._pop_select
         down = self._down_live
-        for node, duration, label, node_state in tasks:
+        for node, duration, label, node_state, template in tasks:
             if (
                 direct
                 and not node_state.busy
@@ -2044,9 +2084,9 @@ class ServingSimulator:
                 # task is exactly what a queue round-trip would hand back, so
                 # run it now — no :class:`_Task`, no key tuple, no
                 # heappush/heappop, no dispatch call.
-                self._run_inline(state, unit, node, duration, label, node_state, time_s, False)
+                self._run_inline(state, unit, node, duration, template, node_state, time_s, False)
                 continue
-            task = _Task(unit, node, duration, label, state.epoch, time_s)
+            task = _Task(unit, node, duration, label, template, state.epoch, time_s)
             if self._base_key:
                 # The base scheduler key ``(request index, topo rank, seq)``,
                 # built inline, skipping the queue_key indirection.
@@ -2063,7 +2103,7 @@ class ServingSimulator:
         unit: _Unit,
         node: ComputeNode,
         duration: float,
-        label: str,
+        template: int,
         node_state: "_NodeState",
         time_s: float,
         ahead: bool,
@@ -2087,9 +2127,7 @@ class ServingSimulator:
         log = self._log
         position = 0  # the row a stream-mode run never writes
         if log is not None:
-            position = log.event(
-                state.slot, node.name, unit.compiled.tier_value, label, "compute", start, end
-            )
+            position = log.event_row(state.slot, template, start, end)
         if self._downable:
             node_state.current = ([(None, log, position)], end)
         run_id = node_state.run_id + 1
@@ -2215,16 +2253,7 @@ class ServingSimulator:
             node_state.busy = True
             log = self._log
             if log is not None:
-                unit = task.unit
-                position = log.event(
-                    unit.state.slot,
-                    node.name,
-                    unit.compiled.tier_value,
-                    task.label,
-                    "compute",
-                    start,
-                    end,
-                )
+                position = log.event_row(task.unit.state.slot, task.template, start, end)
                 members = [(task, log, position)]
             else:
                 members = [(task, None, 0)]
@@ -2341,7 +2370,7 @@ class ServingSimulator:
             state.completion_s = time_s
         successor = state.unit_list[unit.out_edges[0][2]]
         successor.waiting -= 1
-        node, duration, label, _ = successor.tasks[0]
+        node, duration, _, _, template = successor.tasks[0]
         if self._memory_on:
             ready_set = state.memory_ready
             names = successor.compiled.task_nodes
@@ -2352,7 +2381,7 @@ class ServingSimulator:
             self._start_unit(state, successor, time_s)
             return None
         successor.remaining_tasks = 1
-        if self._run_inline(state, successor, node, duration, label, node_state, time_s, True):
+        if self._run_inline(state, successor, node, duration, template, node_state, time_s, True):
             return successor
         return None
 
@@ -2392,18 +2421,10 @@ class ServingSimulator:
         if time_s > state.completion_s:
             state.completion_s = time_s
         if self._log is not None and unit.run is not None:
-            self._log.event(
-                state.slot,
-                unit.home_node.name,
-                Tier.EDGE.value,
-                unit.gather_label,
-                "gather",
-                time_s,
-                time_s,
-            )
+            self._log.event_row(state.slot, unit.compiled.gather_template, time_s, time_s)
         epoch = state.epoch
         unit_list = state.unit_list
-        for producer, consumer, dst_pos, local in unit.out_edges:
+        for producer, consumer, dst_pos, local, template in unit.out_edges:
             if local:
                 # Same-node delivery is free and cannot abort the attempt
                 # (no route, no reservation): hand the edge over directly.
@@ -2417,7 +2438,9 @@ class ServingSimulator:
                     if state.epoch != epoch or state.failed:
                         return
                 continue
-            self._deliver_edge(state, producer, unit, consumer, unit_list[dst_pos], time_s)
+            self._deliver_edge(
+                state, producer, unit, consumer, unit_list[dst_pos], time_s, template
+            )
             if state.epoch != epoch or state.failed:
                 # A severed route aborted the attempt mid-delivery; the
                 # remaining edges belong to a discarded plan.
@@ -2437,6 +2460,7 @@ class ServingSimulator:
         consumer: Vertex,
         dst_unit: _Unit,
         time_s: float,
+        template: int,
     ) -> None:
         src_node = src_unit.home_node
         dst_node = dst_unit.home_node
@@ -2522,16 +2546,7 @@ class ServingSimulator:
             # The exact predicate of ``TensorTransfer.crosses_backbone``.
             state.bytes_to_cloud += payload
         if self._log is not None:
-            self._log.transfer(
-                state.slot,
-                producer.name,
-                consumer.name,
-                src_unit.compiled.tier_value,
-                dst_unit.compiled.tier_value,
-                payload,
-                overall_start,
-                clock - overall_start,
-            )
+            self._log.transfer_row(state.slot, template, overall_start, clock - overall_start)
         if self.faults:
             link_ids = frozenset(
                 link.link_id or "-".join(link.key) for link in route
@@ -3253,8 +3268,17 @@ class ServingSimulator:
         tasks = cache.get(node.name)
         if tasks is None:
             speed = node.speed_factor
+            log = self._log
             tasks = [
-                (node, duration / speed, label, node_state)
+                (
+                    node,
+                    duration / speed,
+                    label,
+                    node_state,
+                    0 if log is None else log.intern(
+                        (node.name, compiled.tier_value, label, "compute")
+                    ),
+                )
                 for duration, label in compiled.group_tasks
             ]
             cache[node.name] = tasks

@@ -40,7 +40,7 @@ def reference_touched_links(simulator, state) -> List:
     links = {}
     unit_list = state.unit_list
     for unit in unit_list:
-        for _, _, dst_pos, local in unit.out_edges:
+        for _, _, dst_pos, local, _ in unit.out_edges:
             if local:
                 continue
             src, dst = unit.home_node, unit_list[dst_pos].home_node

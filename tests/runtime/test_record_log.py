@@ -3,8 +3,11 @@
 The engine writes one columnar :class:`RecordLog` per run and ``run()``
 returns it as the ``Sequence[RequestRecord]``; records are built on first
 item access.  These tests pin the read side (what builds when), the keying
-by arrival slot, and that a log outlives later runs and late truncations.
+by arrival slot, that a log outlives later runs and late truncations, and
+the compact layout: interned row templates plus four numeric columns.
 """
+
+from array import array
 
 import pytest
 
@@ -170,6 +173,65 @@ def test_a_node_death_after_retirement_still_truncates_the_row(system):
     assert ends[("edge-1", tile1.label)] == kill_1
     # edge-0 died after the request retired, mid-way through its tile.
     assert ends[("edge-0", tile0.label)] == kill_0 < tile0.end_s
+
+
+def _arrivals(count, gap_s=0.1):
+    return [gap_s * position for position in range(count)]
+
+
+def test_every_row_column_is_a_compact_array(system):
+    log = ServingSimulator(system.cluster).run(_requests(system, "vgg16", _arrivals(3)))
+    assert len(log.event_slot) and len(log.transfer_slot)
+    for kind in ("event", "transfer"):
+        columns = [name for name in RecordLog.__slots__ if name.startswith(kind + "_")]
+        assert len(columns) == 4
+        for name in columns:
+            assert isinstance(getattr(log, name), array), name
+        row_bytes = sum(getattr(log, name).itemsize for name in columns)
+        assert row_bytes <= 28, f"{kind} row takes {row_bytes} B"
+
+
+def test_template_count_does_not_grow_with_requests(system):
+    def templates(count):
+        log = ServingSimulator(system.cluster).run(
+            _requests(system, "alexnet", _arrivals(count))
+        )
+        assert len(log.event_slot) > count
+        return len(log.templates)
+
+    assert templates(50) == templates(500)
+
+
+def test_string_rows_reuse_the_engines_template_ids(system):
+    log = ServingSimulator(system.cluster).run(_requests(system, "vgg16", [0.0]))
+    count = len(log.templates)
+    event_id = log.event_template[0]
+    position = log.event(0, *log.templates[event_id], 9.0, 9.5)
+    assert log.event_template[position] == event_id
+    transfer_id = log.transfer_template[0]
+    log.transfer(0, *log.templates[transfer_id], 9.5, 0.25)
+    assert log.transfer_template[-1] == transfer_id
+    assert len(log.templates) == count
+
+
+def test_consecutive_runs_match_fresh_simulators(system):
+    streams = [
+        _requests(system, "alexnet", _arrivals(4)),
+        _requests(system, "vgg16", _arrivals(2)),
+        _requests(system, "alexnet", _arrivals(3, gap_s=0.05)),
+    ]
+    simulator = ServingSimulator(system.cluster)
+    reused = [simulator.run(requests) for requests in streams]
+    fresh = [ServingSimulator(system.cluster).run(requests) for requests in streams]
+    for mine, theirs in zip(reused, fresh):
+        assert [serialize_record(r) for r in mine] == [serialize_record(r) for r in theirs]
+
+
+def test_stream_mode_interns_nothing(system):
+    simulator = ServingSimulator(system.cluster, stream_stats=True)
+    assert simulator.run(_requests(system, "vgg16", _arrivals(2))) == []
+    compiled = next(iter(simulator._compiled.values()))
+    assert {entry[4] for unit in compiled.units for entry in unit.tasks} == {0}
 
 
 def test_truncate_only_shortens():
