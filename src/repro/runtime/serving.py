@@ -605,7 +605,6 @@ class _CompiledUnit:
     __slots__ = (
         "pos",
         "tier",
-        "tier_value",
         "vertices",
         "run",
         "topo_key",
@@ -617,7 +616,6 @@ class _CompiledUnit:
         "group_cache",
         "node_costs",
         "out_edges",
-        "gather_label",
         "gather_template",
         "task_nodes",
         "chain",
@@ -626,8 +624,6 @@ class _CompiledUnit:
     def __init__(self, tier: Tier, vertices: List[Vertex], run: Optional[FusedRunPlan]) -> None:
         self.pos = 0  # position in the compiled unit list
         self.tier = tier
-        #: ``tier.value``, the form timeline rows store.
-        self.tier_value = tier.value
         self.vertices = vertices
         self.run = run
         self.topo_key = 0
@@ -666,7 +662,7 @@ class _CompiledUnit:
         #: so completion delivers them without touching the transfer
         #: machinery.
         self.out_edges: List[Tuple[Vertex, Vertex, int, bool, int]] = []
-        self.gather_label: Optional[str] = None
+        #: Fused runs only: the record-log template id of the gather event.
         self.gather_template = 0
         #: A *chain link*: this statically bound solo stage's one out-edge is
         #: the only input of a single-task solo stage on the same node, so
@@ -771,10 +767,6 @@ class _Unit:
     def node_costs(self) -> List[Tuple[str, float]]:
         """``[(node name, solo seconds)]`` — the admission predictor's view."""
         return self.compiled.node_costs
-
-    @property
-    def gather_label(self) -> Optional[str]:
-        return self.compiled.gather_label
 
     def touches(self, node_name: str) -> bool:
         """True when any of this unit's work is bound to ``node_name``."""
@@ -1139,7 +1131,8 @@ class ServingSimulator:
         #: Requests that have not reached a terminal state yet.
         self._open = 0
         #: The run's timelines and outcomes; ``None`` under ``stream_stats``.
-        #: Always a fresh log, so records an earlier run returned survive.
+        #: Always a fresh log, so records an earlier run returned survive;
+        #: its template ids live in this run's compiled plans (reset below).
         self._log: Optional[RecordLog] = None if self.stream_stats else RecordLog()
         #: Arrivals so far: the next request's slot in the log.
         self._arrived = 0
@@ -1775,6 +1768,13 @@ class ServingSimulator:
             self._compiled[key] = compiled
         return compiled
 
+    def _template(self, row: tuple) -> int:
+        """The id of a timeline row's constant part in the run's record log,
+        interned while a plan compiles; 0 in stream mode, which keeps no
+        log."""
+        log = self._log
+        return 0 if log is None else log.intern(row)
+
     def _compile_plan(
         self, request: ServingRequest, source_node: ComputeNode
     ) -> _CompiledPlan:
@@ -1786,7 +1786,9 @@ class ServingSimulator:
         (raising :class:`_NoNodeAvailable` when a needed tier is dark),
         cross-unit dependency counts and edges, and the per-task solo
         durations and labels.  Keeping the float arithmetic identical is
-        what keeps the golden traces bit-identical.
+        what keeps the golden traces bit-identical.  In record mode it also
+        interns the template of every row the plan's tasks, gathers and
+        transfers will write (:meth:`_template`).
         """
         graph = request.graph
         profile = request.profile
@@ -1868,9 +1870,8 @@ class ServingSimulator:
                     unit.waiting += 1
 
         # Outgoing cross-unit edges, in the historical delivery order
-        # (member vertices in unit order, then graph successors).  Record
-        # mode interns every row template here, once per compiled plan.
-        log = self._log
+        # (member vertices in unit order, then graph successors).
+        template = self._template
         for unit in units:
             for vertex in unit.vertices:
                 for successor in graph.successors(vertex.index):
@@ -1882,14 +1883,12 @@ class ServingSimulator:
                                 successor,
                                 successor_unit.pos,
                                 unit.home_node is successor_unit.home_node,
-                                0
-                                if log is None
-                                else log.intern(
+                                template(
                                     (
                                         vertex.name,
                                         successor.name,
-                                        unit.tier_value,
-                                        successor_unit.tier_value,
+                                        unit.tier.value,
+                                        successor_unit.tier.value,
                                         vertex.output_bytes,
                                     )
                                 ),
@@ -1915,9 +1914,7 @@ class ServingSimulator:
                         duration / node.speed_factor,
                         vertex.name,
                         self._nodes[node.name],
-                        0 if log is None else log.intern(
-                            (node.name, unit.tier_value, vertex.name, "compute")
-                        ),
+                        template((node.name, unit.tier.value, vertex.name, "compute")),
                     )
                 )
             else:
@@ -1940,16 +1937,13 @@ class ServingSimulator:
                             duration / node.speed_factor,
                             label,
                             self._nodes[node.name],
-                            0 if log is None else log.intern(
-                                (node.name, unit.tier_value, label, "compute")
-                            ),
+                            template((node.name, unit.tier.value, label, "compute")),
                         )
                     )
-                unit.gather_label = f"gather:{unit.vertices[-1].name}"
-                if log is not None:
-                    unit.gather_template = log.intern(
-                        (unit.home_node.name, Tier.EDGE.value, unit.gather_label, "gather")
-                    )
+                gather_label = f"gather:{run.vertices[-1].name}"
+                unit.gather_template = template(
+                    (unit.home_node.name, Tier.EDGE.value, gather_label, "gather")
+                )
             unit.node_costs = [(node.name, cost) for node, cost, *_ in unit.tasks]
 
         if self._run_ahead:
@@ -2281,7 +2275,7 @@ class ServingSimulator:
                 position = log.event(
                     unit.state.slot,
                     name,
-                    unit.compiled.tier_value,
+                    unit.tier.value,
                     prefix + task.label,
                     "compute",
                     start,
@@ -2696,7 +2690,7 @@ class ServingSimulator:
                 self._log.event(
                     state.slot,
                     name,
-                    unit.compiled.tier_value,
+                    unit.tier.value,
                     f"load:{model}",
                     "coldstart",
                     time_s,
@@ -3268,16 +3262,13 @@ class ServingSimulator:
         tasks = cache.get(node.name)
         if tasks is None:
             speed = node.speed_factor
-            log = self._log
             tasks = [
                 (
                     node,
                     duration / speed,
                     label,
                     node_state,
-                    0 if log is None else log.intern(
-                        (node.name, compiled.tier_value, label, "compute")
-                    ),
+                    self._template((node.name, compiled.tier.value, label, "compute")),
                 )
                 for duration, label in compiled.group_tasks
             ]
