@@ -56,10 +56,11 @@ pass ``--out``).  An unintentional diff is a regression: the default
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.runtime.serving import BatchRecord, RequestRecord, ServingReport
+from repro.runtime.serving import RequestRecord, ServingReport
 
 #: Default fixture directory, relative to the repository root.
 GOLDENS_DIR = Path("tests") / "runtime" / "goldens"
@@ -250,19 +251,6 @@ def serialize_record(record: RequestRecord) -> dict:
     }
 
 
-def serialize_batch(batch: BatchRecord) -> dict:
-    """One micro-batch dispatch as a JSON-ready dict (exact floats)."""
-    return {
-        "node": batch.node,
-        "label": batch.label,
-        "size": batch.size,
-        "start_s": batch.start_s,
-        "end_s": batch.end_s,
-        "longest_solo_s": batch.longest_solo_s,
-        "total_solo_s": batch.total_solo_s,
-    }
-
-
 def serialize_report(report: ServingReport) -> dict:
     """A serving report's complete observable behaviour as a JSON document.
 
@@ -285,7 +273,7 @@ def serialize_report(report: ServingReport) -> dict:
         "records": [serialize_record(record) for record in report.records],
     }
     if report.batches:
-        document["batches"] = [serialize_batch(batch) for batch in report.batches]
+        document["batches"] = [asdict(batch) for batch in report.batches]
     if report.cold_starts or report.weight_cache_misses or report.weight_cache_hits:
         document["memory"] = {
             "cold_starts": report.cold_starts,
